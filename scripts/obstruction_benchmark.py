@@ -21,10 +21,7 @@ from cfplan import (
     SphereObstacle,
     TrajectoryCostWeights,
     WorkspaceBounds,
-    bo_minimize,
-    default_bounds,
-    execute,
-    trajectory_cost,
+    tune_scene,
 )
 
 
@@ -37,20 +34,6 @@ def obstruction_scene(radius: float = 0.15) -> Scene:
         goal=goal,
         workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
     )
-
-
-def tune_once(scene: Scene, cfg: PlannerConfig, seed: int, n_init: int, n_iter: int):
-    agent_w = AgentCostWeights()
-    traj_w = TrajectoryCostWeights()
-    bounds = default_bounds(cfg.n_agents)
-
-    def objective(p: np.ndarray) -> float:
-        result = execute(scene, p, cfg, agent_w)
-        return trajectory_cost(result.trajectory, scene, traj_w)
-
-    tuned = bo_minimize(objective, bounds, n_init=n_init, n_iter=n_iter, seed=seed)
-    final = execute(scene, tuned.best_p, cfg, agent_w)
-    return tuned, final
 
 
 def main() -> int:
@@ -74,7 +57,15 @@ def main() -> int:
     t0 = time.perf_counter()
     for seed in range(args.seeds):
         t_seed = time.perf_counter()
-        tuned, final = tune_once(scene, cfg, seed, args.init, args.iters)
+        tuned, final = tune_scene(
+            scene,
+            cfg,
+            AgentCostWeights(),
+            TrajectoryCostWeights(),
+            n_init=args.init,
+            n_iter=args.iters,
+            seed=seed,
+        )
         ok = final.reached and final.min_clearance > 0.0
         wins += ok
         print(

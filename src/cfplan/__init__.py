@@ -28,6 +28,7 @@ from .labeling import (
     label_scene_set,
     load_dataset,
     scene_surface_cloud,
+    tune_scene,
     write_dataset,
 )
 from .params import BoundsBox, default_bounds, param_dim, validate_params

@@ -138,14 +138,9 @@ def bo_minimize(
     *,
     patience: int = 5,
     tr_floor: float = 1.0 / 64.0,
-    noise_sigma: float = 0.0,
 ) -> BoResult:
     """Minimize ``objective`` with ``n_init`` Sobol evaluations followed by
-    ``n_iter`` surrogate-guided ones.  Deterministic given ``seed``.
-
-    ``noise_sigma`` adds Gaussian noise to recorded observations (the returned
-    ``best_y`` still tracks the recorded values); useful for robustness tests.
-    """
+    ``n_iter`` surrogate-guided ones.  Deterministic given ``seed``."""
     if n_init < 2:
         raise ValueError("n_init must be >= 2")
     if n_iter < 0:
@@ -154,10 +149,7 @@ def bo_minimize(
     init = _sobol_points(rng, n_init, bounds.low, bounds.high)
     observations: list[tuple[np.ndarray, float]] = []
     for row in init:
-        y = _evaluate(objective, row)
-        if noise_sigma > 0.0:
-            y += float(rng.normal(0.0, noise_sigma))
-        observations.append((row.copy(), y))
+        observations.append((row.copy(), _evaluate(objective, row)))
 
     ys = [y for _, y in observations]
     best_i = int(np.argmin(ys))
@@ -169,8 +161,6 @@ def bo_minimize(
         model = gp_fit(observations, bounds)
         x = acquire(model, bounds, rng, tr_scale)
         y = _evaluate(objective, x)
-        if noise_sigma > 0.0:
-            y += float(rng.normal(0.0, noise_sigma))
         observations.append((x.copy(), y))
         if y < best_y:
             best_p, best_y = x.copy(), y

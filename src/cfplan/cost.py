@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, WorkspaceBounds, scene_arrays
+from .scene import Scene, WorkspaceBounds
 
 D_CLAMP = 1e-6
 
@@ -68,9 +68,7 @@ def _path_length(positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
 
 
-def agent_cost(
-    traj, scene: Scene, weights: AgentCostWeights, goal=None, *, _arrays=None
-) -> float:
+def agent_cost(traj, scene: Scene, weights: AgentCostWeights, goal=None) -> float:
     """Rollout score: path length + final goal distance + an inverse-clearance
     penalty + squared workspace violations.
 
@@ -80,7 +78,7 @@ def agent_cost(
     the scene has no obstacles.  ``goal`` overrides ``scene.goal``.
     """
     pos = traj.positions
-    centers, radii = _arrays if _arrays is not None else scene_arrays(scene)
+    centers, radii = scene.centers, scene.radii
     target = scene.goal if goal is None else np.asarray(goal, dtype=float)
     c = weights.path_length * _path_length(pos)
     c += weights.goal_distance * float(np.linalg.norm(target - pos[-1]))
@@ -93,17 +91,17 @@ def agent_cost(
 
 
 def trajectory_cost(
-    traj, scene: Scene, weights: TrajectoryCostWeights, goal=None, *, _arrays=None
+    traj, scene: Scene, weights: TrajectoryCostWeights, goal=None
 ) -> float:
     """Executed-trajectory score used as the tuning objective.
 
     With samples x_0..x_T the terms are the mean inverse clearance over
-    x_1..x_T, the total path length, the mean squared second difference over
-    the interior samples x_2..x_(T-1) (zero for fewer than three steps), and
-    the final distance to the goal.  ``goal`` overrides ``scene.goal``.
+    x_1..x_T, the total path length, the squared second differences at the
+    interior samples x_2..x_(T-1) summed and divided by T - 1 (zero for fewer
+    than three steps), and the final distance to the goal.  ``goal`` overrides ``scene.goal``.
     """
     pos = traj.positions
-    centers, radii = _arrays if _arrays is not None else scene_arrays(scene)
+    centers, radii = scene.centers, scene.radii
     target = scene.goal if goal is None else np.asarray(goal, dtype=float)
     steps = pos.shape[0] - 1
     c = weights.path_length * _path_length(pos)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import bo_minimize
+from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
 from .params import BoundsBox, default_bounds
-from .planner import PlannerConfig, execute
+from .planner import PlannerConfig, PlanResult, execute
 from .scene import PointCloud, Scene, SceneRandomizerConfig, randomize_scene, subsample
 
 CLOUD_SIZE = 2500
@@ -63,6 +63,31 @@ def scene_surface_cloud(
     return subsample(cloud, n_points)
 
 
+def tune_scene(
+    scene: Scene,
+    planner_cfg: PlannerConfig,
+    agent_weights: AgentCostWeights,
+    traj_weights: TrajectoryCostWeights,
+    bounds: BoundsBox | None = None,
+    n_init: int = 8,
+    n_iter: int = 48,
+    seed: int = 0,
+) -> tuple[BoResult, PlanResult]:
+    """Minimize the trajectory cost of ``execute`` on one scene over the
+    parameter vector, then execute the best vector found.
+
+    Returns the tuner's result and the final plan.
+    """
+    bounds = bounds if bounds is not None else default_bounds(planner_cfg.n_agents)
+
+    def objective(p: np.ndarray) -> float:
+        result = execute(scene, p, planner_cfg, agent_weights)
+        return trajectory_cost(result.trajectory, scene, traj_weights)
+
+    tuned = bo_minimize(objective, bounds, n_init=n_init, n_iter=n_iter, seed=seed)
+    return tuned, execute(scene, tuned.best_p, planner_cfg, agent_weights)
+
+
 def label_scene(
     scene: Scene,
     scene_id: int,
@@ -78,14 +103,9 @@ def label_scene(
 
     Returns None when even the tuned parameters fail to reach the goal.
     """
-    bounds = bounds if bounds is not None else default_bounds(planner_cfg.n_agents)
-
-    def objective(p: np.ndarray) -> float:
-        result = execute(scene, p, planner_cfg, agent_weights)
-        return trajectory_cost(result.trajectory, scene, traj_weights)
-
-    tuned = bo_minimize(objective, bounds, n_init=n_init, n_iter=n_iter, seed=seed)
-    final = execute(scene, tuned.best_p, planner_cfg, agent_weights)
+    tuned, final = tune_scene(
+        scene, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+    )
     if not final.reached:
         return None
     cloud = scene_surface_cloud(scene, seed=seed)

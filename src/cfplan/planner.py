@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .cost import AgentCostWeights, agent_cost
 from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
 from .heuristics import CurrentHeuristic, agent_heuristic, batch_currents
 from .params import agent_gains, detection_radius, validate_params
-from .scene import Scene, as_vec3, scene_arrays
+from .scene import Scene, as_vec3
 
 #: per-sample clearance recorded when the scene has no obstacles
 EMPTY_CLEARANCE = 1e9
@@ -65,6 +66,13 @@ class PlannerConfig:
             if j.ndim != 2 or j.shape[0] != 3:
                 raise ValueError("jacobian must have shape (3, n)")
             object.__setattr__(self, "jacobian", j)
+
+    @cached_property
+    def manip_direction(self) -> np.ndarray | None:
+        """Unit manipulability pull of ``jacobian``; None without one."""
+        if self.jacobian is None:
+            return None
+        return manipulability_force(self.jacobian, GainSet(k_manip=1.0))
 
 
 @dataclass(frozen=True)
@@ -112,78 +120,43 @@ class PlanResult:
     best_agent_history: tuple[tuple[int, int], ...]  # (step, agent id) per replan
 
 
+def _euler_step(x, v, force, mass: float, dt: float, v_max: float):
+    v = v + (dt / mass) * force
+    speed = math.sqrt(float(v @ v))
+    if speed > v_max:
+        v = v * (v_max / speed)
+    return x + dt * v, v
+
+
 def integrate_step(
     kin: AgentKinematics, force, mass: float, dt: float, v_max: float
 ) -> AgentKinematics:
     """One semi-implicit Euler step: update velocity from the force, cap its
     norm at v_max, then advance the position with the new velocity."""
-    v = kin.velocity + (dt / mass) * as_vec3(force)
-    speed = float(np.linalg.norm(v))
-    if speed > v_max:
-        v = v * (v_max / speed)
-    return AgentKinematics(kin.position + dt * v, v)
-
-
-class _Geometry:
-    """Scene obstacles flattened to arrays, plus each obstacle's nearest
-    neighbor (needed by the obstacle-distance heuristics)."""
-
-    __slots__ = ("centers", "radii", "nn_centers", "n")
-
-    def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        self.centers = centers
-        self.radii = radii
-        self.n = radii.shape[0]
-        self.nn_centers = _nearest_other_centers(centers) if self.n >= 2 else None
-
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "_Geometry":
-        return cls(*scene_arrays(scene))
-
-    def surface(self, x: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0)
-        return np.linalg.norm(x - self.centers, axis=1) - self.radii
-
-
-def _nearest_other_centers(centers: np.ndarray, chunk: int = 512) -> np.ndarray:
-    n = centers.shape[0]
-    nearest = np.empty(n, dtype=np.int64)
-    for s in range(0, n, chunk):
-        block = centers[s : s + chunk]
-        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(block.shape[0])
-        d2[rows, s + rows] = np.inf
-        nearest[s : s + chunk] = d2.argmin(axis=1)
-    return centers[nearest]
-
-
-def _manip_direction(jacobian: np.ndarray | None) -> np.ndarray | None:
-    if jacobian is None:
-        return None
-    return manipulability_force(jacobian, GainSet(k_manip=1.0))
+    x, v = _euler_step(kin.position, kin.velocity, as_vec3(force), mass, dt, v_max)
+    return AgentKinematics(x, v)
 
 
 def _steering(
     x: np.ndarray,
     v: np.ndarray,
     surf: np.ndarray,
-    geom: _Geometry,
-    goal: np.ndarray,
+    scene: Scene,
     agent: Agent,
     rng: np.random.Generator,
     manip_pull: np.ndarray | None,
 ) -> np.ndarray:
     g = agent.gains
-    f = g.vel_scale * g.k_p * (goal - x) - g.k_v * v
-    if geom.n > 0 and (g.k_cf != 0.0 or g.k_r != 0.0):
+    f = g.vel_scale * g.k_p * (scene.goal - x) - g.k_v * v
+    if surf.shape[0] > 0 and (g.k_cf != 0.0 or g.k_r != 0.0):
         mask = surf <= agent.r_d
         if np.any(mask):
             idx = np.flatnonzero(mask)
-            sub = geom.centers[idx]
+            sub = scene.centers[idx]
             if g.k_cf != 0.0:
-                nn = geom.nn_centers[idx] if geom.nn_centers is not None else None
-                currents = batch_currents(agent.heuristic, x, v, sub, goal, nn, rng)
+                nn = scene.nn_centers
+                nn = nn[idx] if nn is not None else None
+                currents = batch_currents(agent.heuristic, x, v, sub, scene.goal, nn, rng)
                 cs = currents.sum(axis=0)
                 f += g.k_cf * (float(v @ v) * cs - v * float(v @ cs))
             if g.k_r != 0.0:
@@ -198,37 +171,37 @@ def _steering(
 
 
 def _simulate(
-    x0: np.ndarray,
-    v0: np.ndarray,
+    x: np.ndarray,
+    v: np.ndarray,
     n_steps: int,
-    geom: _Geometry,
-    goal: np.ndarray,
+    scene: Scene,
     agent: Agent,
     cfg: PlannerConfig,
     rng: np.random.Generator,
-    manip_pull: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roll ``n_steps`` of the given agent's field from (x0, v0); returns
-    positions (n_steps+1, 3) and per-sample clearances."""
+    stop_within: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roll ``n_steps`` of the given agent's field from (x, v), or fewer when
+    ``stop_within`` is set and a step ends that close to the goal.
+
+    Returns positions (k+1, 3) and per-sample clearances from the start
+    sample on, and the final velocity.
+    """
     pos = np.empty((n_steps + 1, 3))
     clr = np.empty(n_steps + 1)
-    x = x0.copy()
-    v = v0.copy()
-    surf = geom.surface(x)
+    centers, radii = scene.centers, scene.radii
+    pull = cfg.manip_direction
+    surf = np.linalg.norm(x - centers, axis=1) - radii
     pos[0] = x
-    clr[0] = surf.min() if geom.n else EMPTY_CLEARANCE
-    scale = cfg.dt / cfg.mass
+    clr[0] = surf.min() if radii.shape[0] else EMPTY_CLEARANCE
     for i in range(1, n_steps + 1):
-        force = _steering(x, v, surf, geom, goal, agent, rng, manip_pull)
-        v = v + scale * force
-        speed = math.sqrt(float(v @ v))
-        if speed > cfg.v_max:
-            v *= cfg.v_max / speed
-        x = x + cfg.dt * v
-        surf = geom.surface(x)
+        force = _steering(x, v, surf, scene, agent, rng, pull)
+        x, v = _euler_step(x, v, force, cfg.mass, cfg.dt, cfg.v_max)
+        surf = np.linalg.norm(x - centers, axis=1) - radii
         pos[i] = x
-        clr[i] = surf.min() if geom.n else EMPTY_CLEARANCE
-    return pos, clr
+        clr[i] = surf.min() if radii.shape[0] else EMPTY_CLEARANCE
+        if stop_within is not None and np.linalg.norm(scene.goal - x) <= stop_within:
+            return pos[: i + 1], clr[: i + 1], v
+    return pos, clr, v
 
 
 def make_agents(p: np.ndarray, cfg: PlannerConfig, state: AgentKinematics | None = None) -> list[Agent]:
@@ -255,28 +228,11 @@ def _rollout_rng(cfg: PlannerConfig, agent_id: int) -> np.random.Generator:
     )
 
 
-def rollout(
-    agent: Agent,
-    scene: Scene,
-    cfg: PlannerConfig,
-    *,
-    _geom: _Geometry | None = None,
-    _manip_pull: np.ndarray | None = None,
-) -> Trajectory:
+def rollout(agent: Agent, scene: Scene, cfg: PlannerConfig) -> Trajectory:
     """Simulate ``cfg.horizon`` steps of this agent's field from its state."""
-    geom = _geom if _geom is not None else _Geometry.from_scene(scene)
-    pull = _manip_pull if _manip_pull is not None else _manip_direction(cfg.jacobian)
     rng = _rollout_rng(cfg, agent.id)
-    pos, clr = _simulate(
-        agent.state.position,
-        agent.state.velocity,
-        cfg.horizon,
-        geom,
-        scene.goal,
-        agent,
-        cfg,
-        rng,
-        pull,
+    pos, clr, _ = _simulate(
+        agent.state.position, agent.state.velocity, cfg.horizon, scene, agent, cfg, rng
     )
     times = np.arange(cfg.horizon + 1) * cfg.dt
     return Trajectory(times, pos, clr)
@@ -287,24 +243,10 @@ def plan_step(
     scene: Scene,
     cfg: PlannerConfig,
     weights: AgentCostWeights,
-    *,
-    _geom: _Geometry | None = None,
-    _manip_pull: np.ndarray | None = None,
 ) -> int:
     """Roll out every agent from its current state and return the id of the
     one with the lowest agent_cost (ties go to the lowest id)."""
-    geom = _geom if _geom is not None else _Geometry.from_scene(scene)
-    pull = _manip_pull if _manip_pull is not None else _manip_direction(cfg.jacobian)
-    arrays = (geom.centers, geom.radii)
-    costs = [
-        agent_cost(
-            rollout(a, scene, cfg, _geom=geom, _manip_pull=pull),
-            scene,
-            weights,
-            _arrays=arrays,
-        )
-        for a in agents
-    ]
+    costs = [agent_cost(rollout(a, scene, cfg), scene, weights) for a in agents]
     return agents[int(np.argmin(costs))].id
 
 
@@ -316,59 +258,41 @@ def execute(
 
     Deterministic: the result is a pure function of (scene, p, cfg, weights).
     """
-    p = validate_params(p, cfg.n_agents)
-    geom = _Geometry.from_scene(scene)
-    pull = _manip_direction(cfg.jacobian)
     agents = make_agents(p, cfg)
     exec_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & _SEED_MASK, _EXEC_STREAM])
     )
 
-    x = scene.start.astype(float).copy()
+    x = scene.start
     v = np.zeros(3)
-    goal = scene.goal
-    pos = np.empty((cfg.max_steps + 1, 3))
-    clr = np.empty(cfg.max_steps + 1)
-    surf = geom.surface(x)
-    pos[0] = x
-    clr[0] = surf.min() if geom.n else EMPTY_CLEARANCE
-
+    # zero steps yield just the start sample
+    pos, clr, _ = _simulate(x, v, 0, scene, agents[0], cfg, exec_rng)
+    positions, clearances = [pos], [clr]
     history: list[tuple[int, int]] = []
-    reached = bool(np.linalg.norm(goal - x) <= cfg.goal_tolerance)
+    reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
     steps_used = 0
-    best = agents[0]
-    scale = cfg.dt / cfg.mass
-    if not reached:
-        for step in range(cfg.max_steps):
-            if step % cfg.replan_every == 0:
-                kin = AgentKinematics(x.copy(), v.copy())
-                for a in agents:
-                    a.state = kin
-                best_id = plan_step(
-                    agents, scene, cfg, weights, _geom=geom, _manip_pull=pull
-                )
-                best = agents[best_id - 1]
-                history.append((step, best_id))
-            force = _steering(x, v, surf, geom, goal, best, exec_rng, pull)
-            v = v + scale * force
-            speed = math.sqrt(float(v @ v))
-            if speed > cfg.v_max:
-                v *= cfg.v_max / speed
-            x = x + cfg.dt * v
-            surf = geom.surface(x)
-            steps_used = step + 1
-            pos[steps_used] = x
-            clr[steps_used] = surf.min() if geom.n else EMPTY_CLEARANCE
-            if np.linalg.norm(goal - x) <= cfg.goal_tolerance:
-                reached = True
-                break
+    while not reached and steps_used < cfg.max_steps:
+        kin = AgentKinematics(x, v)
+        for a in agents:
+            a.state = kin
+        best_id = plan_step(agents, scene, cfg, weights)
+        history.append((steps_used, best_id))
+        n = min(cfg.replan_every, cfg.max_steps - steps_used)
+        pos, clr, v = _simulate(
+            x, v, n, scene, agents[best_id - 1], cfg, exec_rng, cfg.goal_tolerance
+        )
+        positions.append(pos[1:])
+        clearances.append(clr[1:])
+        x = pos[-1]
+        steps_used += pos.shape[0] - 1
+        reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
 
-    n = steps_used + 1
-    traj = Trajectory(np.arange(n) * cfg.dt, pos[:n], clr[:n])
+    clr = np.concatenate(clearances)
+    traj = Trajectory(np.arange(steps_used + 1) * cfg.dt, np.concatenate(positions), clr)
     return PlanResult(
         trajectory=traj,
         reached=reached,
         steps_used=steps_used,
-        min_clearance=float(clr[:n].min()),
+        min_clearance=float(clr.min()),
         best_agent_history=tuple(history),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -168,6 +169,13 @@ class DepthImage:
 
 @dataclass(frozen=True)
 class Scene:
+    """Spherical obstacles, start, goal and workspace box.
+
+    The obstacle arrays the planner and the costs scan are computed on first
+    use and kept with the instance (read-only, since every caller shares
+    them).
+    """
+
     obstacles: tuple[SphereObstacle, ...]
     start: Vec3
     goal: Vec3
@@ -178,15 +186,44 @@ class Scene:
         object.__setattr__(self, "start", as_vec3(self.start))
         object.__setattr__(self, "goal", as_vec3(self.goal))
 
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Obstacle centers, (n, 3)."""
+        centers = np.array([o.center for o in self.obstacles], dtype=float)
+        return _read_only(centers.reshape(-1, 3))
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Obstacle radii, (n,)."""
+        return _read_only(np.array([o.radius for o in self.obstacles], dtype=float))
+
+    @cached_property
+    def nn_centers(self) -> np.ndarray | None:
+        """Center of each obstacle's nearest other obstacle, (n, 3); None for
+        fewer than two obstacles.  Distance ties go to the lowest index."""
+        centers = self.centers
+        n = centers.shape[0]
+        if n < 2:
+            return None
+        chunk = 512  # bounds the (chunk, n) distance block
+        nearest = np.empty(n, dtype=np.int64)
+        for s in range(0, n, chunk):
+            block = centers[s : s + chunk]
+            d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            rows = np.arange(block.shape[0])
+            d2[rows, s + rows] = np.inf
+            nearest[s : s + chunk] = d2.argmin(axis=1)
+        return _read_only(centers[nearest])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def scene_arrays(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Stack obstacle geometry into (centers (n,3), radii (n,)) arrays."""
-    n = len(scene.obstacles)
-    if n == 0:
-        return np.zeros((0, 3)), np.zeros(0)
-    centers = np.stack([o.center for o in scene.obstacles])
-    radii = np.array([o.radius for o in scene.obstacles])
-    return centers, radii
+    """Obstacle geometry as (centers (n,3), radii (n,)) arrays."""
+    return scene.centers, scene.radii
 
 
 def min_surface_distance(point, centers: np.ndarray, radii: np.ndarray) -> float:
@@ -203,8 +240,7 @@ def validate_scene(scene: Scene) -> None:
     for name, p in (("start", scene.start), ("goal", scene.goal)):
         if not scene.workspace.contains(p):
             raise ValueError(f"{name} lies outside the workspace")
-        centers, radii = scene_arrays(scene)
-        if min_surface_distance(p, centers, radii) <= 0.0:
+        if min_surface_distance(p, scene.centers, scene.radii) <= 0.0:
             raise ValueError(f"{name} lies inside or on an obstacle")
 
 
@@ -255,13 +291,12 @@ def depth_to_cloud(image: DepthImage) -> PointCloud:
     return PointCloud(base)
 
 
-def subsample(cloud: PointCloud, n_points: int, seed: int = 0) -> PointCloud:
+def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     """Farthest-point subsample down to ``n_points``.
 
     Starts from the point nearest the cloud centroid and greedily adds the
     point farthest from the selected set; index order breaks ties, so the
-    result is deterministic and ``seed`` only matters to callers that swap in
-    a different strategy.
+    result is deterministic.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -269,7 +304,6 @@ def subsample(cloud: PointCloud, n_points: int, seed: int = 0) -> PointCloud:
         raise ValueError("n_points must be positive")
     if n <= n_points:
         return PointCloud(pts.copy())
-    del seed  # selection is fully deterministic
     centroid = pts.mean(axis=0)
     first = int(np.argmin(np.linalg.norm(pts - centroid, axis=1)))
     chosen = np.empty(n_points, dtype=int)

@@ -32,7 +32,7 @@ from cfplan.fields import (
 )
 from cfplan.gp import gp_fit, gp_predict_batch, matern52
 from cfplan.inference import featurize, knn_predict
-from cfplan.labeling import build_dataset, load_dataset
+from cfplan.labeling import build_dataset, load_dataset, tune_scene
 from cfplan.params import BoundsBox, default_bounds
 from cfplan.planner import PlannerConfig, Trajectory, execute
 from cfplan.scene import (
@@ -62,18 +62,6 @@ def rel_close(got, want, tol=1e-12) -> bool:
 # expensive shared stages
 
 
-def tune_obstruction(scene: Scene, cfg: PlannerConfig, seed: int, n_init: int, n_iter: int):
-    bounds = default_bounds(cfg.n_agents)
-
-    def objective(p: np.ndarray) -> float:
-        result = execute(scene, p, cfg, AGENT_W)
-        return trajectory_cost(result.trajectory, scene, TRAJ_W)
-
-    tuned = bo_minimize(objective, bounds, n_init=n_init, n_iter=n_iter, seed=seed)
-    final = execute(scene, tuned.best_p, cfg, AGENT_W)
-    return tuned, final
-
-
 @pytest.fixture(scope="module")
 def obstruction_tuning():
     """Criterion 6 workload: 10 tuner seeds on the midpoint-obstruction scene
@@ -82,7 +70,7 @@ def obstruction_tuning():
     t0 = time.perf_counter()
     runs = []
     for seed in range(10):
-        tuned, final = tune_obstruction(scene, BENCH_CFG, seed, n_init=8, n_iter=24)
+        tuned, final = tune_scene(scene, BENCH_CFG, AGENT_W, TRAJ_W, n_init=8, n_iter=24, seed=seed)
         runs.append(
             {
                 "seed": seed,

@@ -193,6 +193,17 @@ class TestExecute:
         assert [step for step, _ in result.best_agent_history] == [0, 15, 30]
         assert all(1 <= a <= cfg.n_agents for _, a in result.best_agent_history)
 
+    def test_short_last_segment(self):
+        # max_steps is not a multiple of replan_every: the last segment runs
+        # the remaining 10 steps
+        scene = obstruction_scene()
+        cfg = PlannerConfig(horizon=10, replan_every=15, max_steps=40)
+        result = execute(scene, untuned_baseline(), cfg, WEIGHTS)
+        assert [step for step, _ in result.best_agent_history] == [0, 15, 30]
+        assert not result.reached
+        assert result.steps_used == 40
+        assert len(result.trajectory) == 41
+
     def test_min_clearance_matches_trajectory(self):
         scene = obstruction_scene()
         result = execute(scene, untuned_baseline(), BENCH_CFG, WEIGHTS)

@@ -106,6 +106,44 @@ class TestMinSurfaceDistance:
         assert min_surface_distance((0.25, 0, 0), centers, radii) == pytest.approx(-0.75)
 
 
+class TestSceneArrays:
+    def test_nn_centers_match_brute_force_with_ties(self):
+        # lattice spacing 0.25 makes the squared distances exact, so most
+        # spheres have several equally near neighbours; the lowest index wins
+        cells = np.stack(
+            np.meshgrid(np.arange(3), np.arange(3), np.arange(2), indexing="ij"), axis=-1
+        )
+        centers = 0.25 * cells.reshape(-1, 3)
+        scene = Scene(
+            obstacles=[SphereObstacle(c, 0.1) for c in centers],
+            start=(2.0, 2.0, 2.0),
+            goal=(2.5, 2.0, 2.0),
+            workspace=WorkspaceBounds(min=(-1, -1, -1), max=(3, 3, 3)),
+        )
+        want = []
+        for i, c in enumerate(centers):
+            best_j, best_d2 = -1, math.inf
+            for j, other in enumerate(centers):
+                d2 = float(((c - other) ** 2).sum())
+                if j != i and d2 < best_d2:
+                    best_j, best_d2 = j, d2
+            want.append(centers[best_j])
+        assert np.array_equal(scene.nn_centers, np.array(want))
+
+    def test_arrays_are_shared_and_read_only(self):
+        scene = Scene(
+            obstacles=(SphereObstacle(center=(0, 0, 0.5), radius=0.3),),
+            start=(0.5, 0.5, 0.5),
+            goal=(-0.5, 0.5, 0.5),
+            workspace=WorkspaceBounds(min=(-1, -1, 0), max=(1, 1, 1)),
+        )
+        centers, radii = scene_arrays(scene)
+        assert centers is scene.centers and radii is scene.radii
+        assert scene.nn_centers is None
+        with pytest.raises(ValueError):
+            centers[0, 0] = 1.0
+
+
 class TestDepthToCloud:
     def test_principal_point(self):
         depths = np.zeros((480, 640))
