@@ -42,8 +42,8 @@ def main() -> int:
         max_steps=args.max_steps,
     )
 
-    def on_scene(idx, total, scene_id, reached):
-        print(f"[{idx + 1}/{total}] scene {scene_id}: reached={reached}", file=sys.stderr)
+    def on_scene(idx, total, scene_id, stored):
+        print(f"[{idx + 1}/{total}] scene {scene_id}: stored={stored}", file=sys.stderr)
 
     summary = build_dataset(
         n_scenes=args.scenes,

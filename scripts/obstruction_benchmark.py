@@ -12,28 +12,13 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from cfplan import (
     AgentCostWeights,
     PlannerConfig,
-    Scene,
-    SphereObstacle,
     TrajectoryCostWeights,
-    WorkspaceBounds,
+    obstruction_scene,
     tune_scene,
 )
-
-
-def obstruction_scene(radius: float = 0.15) -> Scene:
-    start = np.array([-0.4, 0.0, 0.5])
-    goal = np.array([0.4, 0.0, 0.5])
-    return Scene(
-        obstacles=[SphereObstacle(center=(goal + start) / 2.0, radius=radius)],
-        start=start,
-        goal=goal,
-        workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
-    )
 
 
 def main() -> int:

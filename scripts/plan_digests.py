@@ -32,10 +32,10 @@ from cfplan import (
     default_bounds,
     default_desk_randomizer,
     execute,
+    obstruction_scene,
     randomize_scene,
     trajectory_cost,
 )
-from obstruction_benchmark import obstruction_scene
 
 DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 JACOBIAN = np.random.default_rng(1).standard_normal((3, 7))

@@ -57,6 +57,7 @@ from .scene import (
     decompose_primitive,
     default_desk_randomizer,
     depth_to_cloud,
+    obstruction_scene,
     randomize_scene,
     sample_scene_shapes,
     subsample,

@@ -66,8 +66,8 @@ def cmd_label(args) -> int:
     scenes = [io.load_scene(path) for path in paths]
     seeds = [args.seed + i for i in range(len(paths))]
 
-    def on_scene(idx, total, scene_id, reached):
-        _note(f"[{idx + 1}/{total}] {paths[idx].name}: reached={reached}")
+    def on_scene(idx, total, scene_id, stored):
+        _note(f"[{idx + 1}/{total}] {paths[idx].name}: stored={stored}")
 
     summary = label_scene_set(
         scenes,

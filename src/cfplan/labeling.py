@@ -3,8 +3,9 @@ pairs for the nearest-neighbor gain predictor.
 
 Each labeled sample couples a fixed-size surface point cloud of the scene
 with the best parameter vector the tuner found and the cost it achieved.
-Scenes whose tuned plan still fails to reach the goal are skipped rather than
-stored, so the dataset only teaches configurations that worked.
+Scenes whose tuned plan still fails to reach the goal, or reaches it only by
+driving through a sphere, are skipped rather than stored, so the dataset only
+teaches configurations that worked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
-from .params import BoundsBox, default_bounds
+from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig, PlanResult, execute
 from .scene import PointCloud, Scene, SceneRandomizerConfig, randomize_scene, subsample
 
@@ -88,6 +89,38 @@ def tune_scene(
     return tuned, execute(scene, tuned.best_p, planner_cfg, agent_weights)
 
 
+def rejection(final: PlanResult) -> str | None:
+    """Why a tuned plan cannot become a label: ``"unreached"`` when it stops
+    short of the goal, ``"collides"`` when it touches or enters a sphere
+    (min clearance <= 0; the executor clamps penetration and carries on, so
+    such a plan can still reach the goal); None for a plan worth storing."""
+    if not final.reached:
+        return "unreached"
+    if final.min_clearance <= 0.0:
+        return "collides"
+    return None
+
+
+def _label_scene(
+    scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+) -> tuple[LabeledSample | None, str | None]:
+    tuned, final = tune_scene(
+        scene, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+    )
+    reason = rejection(final)
+    if reason is not None:
+        return None, reason
+    cloud = scene_surface_cloud(scene, seed=seed)
+    sample = LabeledSample(
+        scene_id=scene_id,
+        points=cloud.points,
+        p_star=np.asarray(tuned.best_p, dtype=float),
+        best_cost=float(tuned.best_y),
+        reached=True,
+    )
+    return sample, None
+
+
 def label_scene(
     scene: Scene,
     scene_id: int,
@@ -101,21 +134,12 @@ def label_scene(
 ) -> LabeledSample | None:
     """Tune the parameter vector for one scene and package the result.
 
-    Returns None when even the tuned parameters fail to reach the goal.
+    Returns None when even the tuned parameters fail to reach the goal or
+    collide on the way (see ``rejection``).
     """
-    tuned, final = tune_scene(
-        scene, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
-    )
-    if not final.reached:
-        return None
-    cloud = scene_surface_cloud(scene, seed=seed)
-    return LabeledSample(
-        scene_id=scene_id,
-        points=cloud.points,
-        p_star=np.asarray(tuned.best_p, dtype=float),
-        best_cost=float(tuned.best_y),
-        reached=True,
-    )
+    return _label_scene(
+        scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+    )[0]
 
 
 def expand_seeds(n_scenes: int, seeds) -> list[int]:
@@ -147,23 +171,17 @@ def label_scene_set(
 
     Scenes are independent, so the loop is embarrassingly parallel; this
     implementation keeps it sequential for determinism.  ``on_scene`` is an
-    optional callback (index, n_scenes, scene_id, reached) for progress
-    reporting."""
+    optional callback (index, n_scenes, scene_id, stored) for progress
+    reporting.  Each ``per_scene`` row says whether the tuned plan reached
+    the goal and, in ``reason``, why it was not stored (None when it was;
+    see ``rejection``)."""
     t0 = time.perf_counter()
     samples = []
     per_scene = []
     for idx, (scene, scene_id, seed) in enumerate(zip(scenes, scene_ids, seeds)):
         t_scene = time.perf_counter()
-        sample = label_scene(
-            scene,
-            scene_id=scene_id,
-            planner_cfg=planner_cfg,
-            agent_weights=agent_weights,
-            traj_weights=traj_weights,
-            bounds=bounds,
-            n_init=n_init,
-            n_iter=n_iter,
-            seed=seed,
+        sample, reason = _label_scene(
+            scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
         )
         if sample is not None:
             samples.append(sample)
@@ -171,7 +189,8 @@ def label_scene_set(
             {
                 "scene_id": scene_id,
                 "seed": seed,
-                "reached": sample is not None,
+                "reached": reason != "unreached",
+                "reason": reason,
                 "wall_time_s": time.perf_counter() - t_scene,
             }
         )
@@ -250,6 +269,9 @@ def write_dataset(samples, path) -> None:
 
 
 def load_dataset(path) -> list[LabeledSample]:
+    """Read a JSONL dataset.  Raises ValueError naming ``path:line`` for a
+    malformed record, a ``p_star`` whose length is not ``5 n + 1`` for some
+    n >= 1 agents, or one whose length differs from the first record's."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -257,7 +279,18 @@ def load_dataset(path) -> list[LabeledSample]:
             if not line:
                 continue
             try:
-                samples.append(sample_from_dict(json.loads(line)))
+                sample = sample_from_dict(json.loads(line))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
+            dim = sample.p_star.size
+            if sample.p_star.ndim != 1 or dim < param_dim(1) or (dim - 1) % 5:
+                raise ValueError(
+                    f"{path}:{line_no}: p_star has {dim} entries, not 5 n + 1 for n >= 1 agents"
+                )
+            if samples and dim != samples[0].p_star.size:
+                raise ValueError(
+                    f"{path}:{line_no}: p_star has {dim} entries, the first "
+                    f"{samples[0].p_star.size}"
+                )
+            samples.append(sample)
     return samples

@@ -7,17 +7,28 @@ them simulate a short rollout from the current state, the cheapest rollout
 field until the next replan.  Integration is semi-implicit Euler with a hard
 speed cap.
 
+One lockstep kernel, ``_simulate``, does all simulation.  It advances an
+(A, 3) state for every agent at once: per step one (A, n) surface-distance
+pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
+(``heuristics.pair_currents``, dispatching on each pair's heuristic), and
+per-agent sums of the obstacle forces.  ``plan_step`` runs it with the whole
+committee; the executor's committed segment and ``rollout`` run it with
+A = 1.  Every agent's result is bitwise the one it would get alone: the
+kernel keeps each rounding step of the per-agent computation (see
+``cfplan.vec3``).
+
 Random-heuristic agents reseed their generator from
 ``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
 of its inputs and two rollouts from the same state are bitwise identical.
 The executor keeps a separate stream for the random currents it consumes
 while following a winning random agent.
 
-Force evaluation is vectorized over obstacles.  It matches the scalar
-force/heuristic functions to floating-point roundoff; where the scalar
-repulsion raises on overlap, the executor instead clamps the surface distance
-at ``RHO_MIN`` so that a penetrating state produces a huge finite escape
-force rather than an exception mid-rollout.
+The kernel matches the scalar force/heuristic functions
+(``fields.steering_force``, ``heuristics.compute_current``) to
+floating-point roundoff; where the scalar repulsion raises on overlap, the
+kernel instead clamps the surface distance at ``RHO_MIN`` so that a
+penetrating state produces a huge finite escape force rather than an
+exception mid-rollout.
 """
 
 from __future__ import annotations
@@ -30,9 +41,10 @@ import numpy as np
 
 from .cost import AgentCostWeights, agent_cost
 from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
-from .heuristics import CurrentHeuristic, agent_heuristic, batch_currents
+from .heuristics import CurrentHeuristic, HeuristicKind, agent_heuristic, pair_currents
 from .params import agent_gains, detection_radius, validate_params
 from .scene import Scene, as_vec3
+from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
 EMPTY_CLEARANCE = 1e9
@@ -121,10 +133,12 @@ class PlanResult:
 
 
 def _euler_step(x, v, force, mass: float, dt: float, v_max: float):
+    """Advance (k, 3) positions and velocities by one step each."""
     v = v + (dt / mass) * force
-    speed = math.sqrt(float(v @ v))
-    if speed > v_max:
-        v = v * (v_max / speed)
+    speed = np.sqrt(dots(v, v))
+    fast = (speed > v_max).nonzero()[0]
+    if fast.size:
+        v[fast] *= (v_max / speed[fast])[:, None]
     return x + dt * v, v
 
 
@@ -133,40 +147,106 @@ def integrate_step(
 ) -> AgentKinematics:
     """One semi-implicit Euler step: update velocity from the force, cap its
     norm at v_max, then advance the position with the new velocity."""
-    x, v = _euler_step(kin.position, kin.velocity, as_vec3(force), mass, dt, v_max)
-    return AgentKinematics(x, v)
+    x, v = _euler_step(
+        kin.position[None], kin.velocity[None], as_vec3(force)[None], mass, dt, v_max
+    )
+    return AgentKinematics(x[0], v[0])
 
 
-def _steering(
-    x: np.ndarray,
-    v: np.ndarray,
-    surf: np.ndarray,
-    scene: Scene,
-    agent: Agent,
-    rng: np.random.Generator,
-    manip_pull: np.ndarray | None,
-) -> np.ndarray:
-    g = agent.gains
-    f = g.vel_scale * g.k_p * (scene.goal - x) - g.k_v * v
-    if surf.shape[0] > 0 and (g.k_cf != 0.0 or g.k_r != 0.0):
-        mask = surf <= agent.r_d
-        if np.any(mask):
-            idx = np.flatnonzero(mask)
-            sub = scene.centers[idx]
-            if g.k_cf != 0.0:
-                nn = scene.nn_centers
-                nn = nn[idx] if nn is not None else None
-                currents = batch_currents(agent.heuristic, x, v, sub, scene.goal, nn, rng)
-                cs = currents.sum(axis=0)
-                f += g.k_cf * (float(v @ v) * cs - v * float(v @ cs))
-            if g.k_r != 0.0:
-                rho = np.maximum(surf[idx], RHO_MIN)
-                diff = x - sub
-                dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-                mag = g.k_r * (1.0 / rho - 1.0 / max(agent.r_d, RHO_MIN)) / rho**2
-                f += ((diff / dist[:, None]) * mag[:, None]).sum(axis=0)
+@dataclass(frozen=True)
+class _Committee:
+    """The agents simulated together: gains as (A,) arrays, or (A, 1)
+    columns where they scale (A, 3) rows."""
+
+    kinds: tuple[HeuristicKind, ...]
+    pull: np.ndarray  # (A, 1) vel_scale * k_p
+    k_v: np.ndarray  # (A, 1)
+    k_cf: np.ndarray  # (A, 1)
+    manip: np.ndarray  # (A, 1) k_manip * manip_scale
+    reach: np.ndarray  # (A, 1) r_d, or -inf when no obstacle force is on
+    circling: np.ndarray  # (A,) k_cf != 0
+    repelling: np.ndarray  # (A,) k_r != 0
+    k_r: np.ndarray  # (A,)
+    inv_r_d: np.ndarray  # (A,) 1 / max(r_d, RHO_MIN)
+
+    @classmethod
+    def of(cls, agents: list[Agent]) -> _Committee:
+        def col(values):
+            return np.array(values, dtype=float)[:, None]
+
+        g = [a.gains for a in agents]
+        k_cf = np.array([x.k_cf for x in g])
+        k_r = np.array([x.k_r for x in g])
+        r_d = np.array([a.r_d for a in agents])
+        return cls(
+            kinds=tuple(a.heuristic.kind for a in agents),
+            pull=col([x.vel_scale * x.k_p for x in g]),
+            k_v=col([x.k_v for x in g]),
+            k_cf=k_cf[:, None],
+            manip=col([x.k_manip * x.manip_scale for x in g]),
+            reach=np.where((k_cf != 0.0) | (k_r != 0.0), r_d, -np.inf)[:, None],
+            circling=k_cf != 0.0,
+            repelling=k_r != 0.0,
+            k_r=k_r,
+            inv_r_d=np.array([1.0 / max(a.r_d, RHO_MIN) for a in agents]),
+        )
+
+
+def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
+    """Per-agent sums of ``rows``, each starting from zero and adding its
+    rows in order as ``rows.sum(axis=0)`` does, and an (A, 1) mask of the
+    agents that had any row."""
+    total = np.zeros((n_agents, 3))
+    np.add.at(total, agent, rows)
+    has = np.zeros((n_agents, 1), dtype=bool)
+    has[agent] = True
+    return total, has
+
+
+def _subset(idx, agent, keep):
+    """The pairs whose agent is flagged in ``keep``."""
+    sel = keep.take(agent).nonzero()[0]
+    if sel.size == agent.size:
+        return idx, agent
+    return idx.take(sel), agent.take(sel)
+
+
+def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, manip_pull):
+    """Steering force on every agent of the committee, (A, 3).
+
+    ``offsets`` (A, n, 3) holds x - center per obstacle, ``dist`` (A, n)
+    its norms and ``surf`` the surface distances.  An obstacle acts on an
+    agent when its surface lies within the agent's detection shell: one mask
+    over ``surf`` yields the (agent, obstacle) pairs as flat indices, agent
+    by agent with obstacle index ascending.
+    """
+    f = com.pull * (scene.goal - x) - com.k_v * v
+    n_agents, n = surf.shape
+    idx = (surf <= com.reach).ravel().nonzero()[0]
+    if idx.size:
+        agent = idx // n
+        flat = offsets.reshape(-1, 3)
+        ci, ca = _subset(idx, agent, com.circling)
+        if ci.size:
+            nn = scene.nn_centers
+            currents = pair_currents(
+                com.kinds, ca, x, v, flat.take(ci, axis=0), dist.take(ci), scene.goal,
+                None if nn is None else nn.take(ci % n, axis=0), rngs,
+            )
+            cs, has = _agent_sums(n_agents, ca, currents)
+            term = com.k_cf * (dots(v, v)[:, None] * cs - v * dots(v, cs)[:, None])
+            f = np.where(has, f + term, f)
+        ri, ra = _subset(idx, agent, com.repelling)
+        if ri.size:
+            rho = np.maximum(surf.take(ri), RHO_MIN)
+            d = np.maximum(dist.take(ri), 1e-12)
+            mag = com.k_r.take(ra) * (1.0 / rho - com.inv_r_d.take(ra)) / rho**2
+            push, has = _agent_sums(
+                n_agents, ra, (flat.take(ri, axis=0) / d[:, None]) * mag[:, None]
+            )
+            f = np.where(has, f + push, f)
     if manip_pull is not None:
-        f = f + g.k_manip * g.manip_scale * manip_pull
+        f = f + com.manip * manip_pull
     return f
 
 
@@ -175,33 +255,39 @@ def _simulate(
     v: np.ndarray,
     n_steps: int,
     scene: Scene,
-    agent: Agent,
+    com: _Committee,
     cfg: PlannerConfig,
-    rng: np.random.Generator,
+    rngs,
     stop_within: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roll ``n_steps`` of the given agent's field from (x, v), or fewer when
-    ``stop_within`` is set and a step ends that close to the goal.
+    """Roll ``n_steps`` of every committee agent's own field in lockstep
+    from the (A, 3) states (x, v), agent ``a`` drawing random currents from
+    ``rngs[a]``.  With ``stop_within`` set (single-agent runs) stop early
+    once a step ends that close to the goal.
 
-    Returns positions (k+1, 3) and per-sample clearances from the start
-    sample on, and the final velocity.
+    Returns positions (A, k+1, 3) and per-sample clearances (A, k+1) from the
+    start sample on, and the final (A, 3) velocities.
     """
-    pos = np.empty((n_steps + 1, 3))
-    clr = np.empty(n_steps + 1)
+    pos = np.empty((x.shape[0], n_steps + 1, 3))
+    clr = np.empty((x.shape[0], n_steps + 1))
     centers, radii = scene.centers, scene.radii
     pull = cfg.manip_direction
-    surf = np.linalg.norm(x - centers, axis=1) - radii
-    pos[0] = x
-    clr[0] = surf.min() if radii.shape[0] else EMPTY_CLEARANCE
-    for i in range(1, n_steps + 1):
-        force = _steering(x, v, surf, scene, agent, rng, pull)
+    i = 0
+    while True:
+        offsets = x[:, None, :] - centers
+        dist = norms(offsets)
+        surf = dist - radii
+        pos[:, i] = x
+        clr[:, i] = np.minimum.reduce(surf, axis=1) if radii.shape[0] else EMPTY_CLEARANCE
+        if i == n_steps:
+            return pos, clr, v
+        if stop_within is not None and i > 0:
+            gap = scene.goal - x[0]
+            if math.sqrt(float(gap @ gap)) <= stop_within:
+                return pos[:, : i + 1], clr[:, : i + 1], v
+        force = _forces(x, v, offsets, dist, surf, scene, com, rngs, pull)
         x, v = _euler_step(x, v, force, cfg.mass, cfg.dt, cfg.v_max)
-        surf = np.linalg.norm(x - centers, axis=1) - radii
-        pos[i] = x
-        clr[i] = surf.min() if radii.shape[0] else EMPTY_CLEARANCE
-        if stop_within is not None and np.linalg.norm(scene.goal - x) <= stop_within:
-            return pos[: i + 1], clr[: i + 1], v
-    return pos, clr, v
+        i += 1
 
 
 def make_agents(p: np.ndarray, cfg: PlannerConfig, state: AgentKinematics | None = None) -> list[Agent]:
@@ -222,20 +308,29 @@ def make_agents(p: np.ndarray, cfg: PlannerConfig, state: AgentKinematics | None
     ]
 
 
-def _rollout_rng(cfg: PlannerConfig, agent_id: int) -> np.random.Generator:
+def _rollout_rng(cfg: PlannerConfig, agent: Agent) -> np.random.Generator | None:
+    """The agent's own random stream; None for deterministic heuristics."""
+    if agent.heuristic.kind is not HeuristicKind.RANDOM:
+        return None
     return np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed & _SEED_MASK, agent_id])
+        np.random.SeedSequence([cfg.master_seed & _SEED_MASK, agent.id])
     )
+
+
+def _rollouts(agents: list[Agent], scene: Scene, cfg: PlannerConfig) -> list[Trajectory]:
+    """Simulate ``cfg.horizon`` steps of every agent's field from its state,
+    all agents in lockstep."""
+    x = np.stack([a.state.position for a in agents])
+    v = np.stack([a.state.velocity for a in agents])
+    rngs = [_rollout_rng(cfg, a) for a in agents]
+    pos, clr, _ = _simulate(x, v, cfg.horizon, scene, _Committee.of(agents), cfg, rngs)
+    times = np.arange(cfg.horizon + 1) * cfg.dt
+    return [Trajectory(times, pos[k], clr[k]) for k in range(len(agents))]
 
 
 def rollout(agent: Agent, scene: Scene, cfg: PlannerConfig) -> Trajectory:
     """Simulate ``cfg.horizon`` steps of this agent's field from its state."""
-    rng = _rollout_rng(cfg, agent.id)
-    pos, clr, _ = _simulate(
-        agent.state.position, agent.state.velocity, cfg.horizon, scene, agent, cfg, rng
-    )
-    times = np.arange(cfg.horizon + 1) * cfg.dt
-    return Trajectory(times, pos, clr)
+    return _rollouts([agent], scene, cfg)[0]
 
 
 def plan_step(
@@ -246,7 +341,7 @@ def plan_step(
 ) -> int:
     """Roll out every agent from its current state and return the id of the
     one with the lowest agent_cost (ties go to the lowest id)."""
-    costs = [agent_cost(rollout(a, scene, cfg), scene, weights) for a in agents]
+    costs = [agent_cost(traj, scene, weights) for traj in _rollouts(agents, scene, cfg)]
     return agents[int(np.argmin(costs))].id
 
 
@@ -259,33 +354,36 @@ def execute(
     Deterministic: the result is a pure function of (scene, p, cfg, weights).
     """
     agents = make_agents(p, cfg)
-    exec_rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed & _SEED_MASK, _EXEC_STREAM])
-    )
+    solo = [_Committee.of([a]) for a in agents]
+    exec_rngs = [
+        np.random.default_rng(
+            np.random.SeedSequence([cfg.master_seed & _SEED_MASK, _EXEC_STREAM])
+        )
+    ]
 
-    x = scene.start
-    v = np.zeros(3)
+    x = scene.start[None]
+    v = np.zeros((1, 3))
     # zero steps yield just the start sample
-    pos, clr, _ = _simulate(x, v, 0, scene, agents[0], cfg, exec_rng)
-    positions, clearances = [pos], [clr]
+    pos, clr, _ = _simulate(x, v, 0, scene, solo[0], cfg, exec_rngs)
+    positions, clearances = [pos[0]], [clr[0]]
     history: list[tuple[int, int]] = []
-    reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
+    reached = bool(np.linalg.norm(scene.goal - x[0]) <= cfg.goal_tolerance)
     steps_used = 0
     while not reached and steps_used < cfg.max_steps:
-        kin = AgentKinematics(x, v)
+        kin = AgentKinematics(x[0], v[0])
         for a in agents:
             a.state = kin
         best_id = plan_step(agents, scene, cfg, weights)
         history.append((steps_used, best_id))
         n = min(cfg.replan_every, cfg.max_steps - steps_used)
         pos, clr, v = _simulate(
-            x, v, n, scene, agents[best_id - 1], cfg, exec_rng, cfg.goal_tolerance
+            x, v, n, scene, solo[best_id - 1], cfg, exec_rngs, cfg.goal_tolerance
         )
-        positions.append(pos[1:])
-        clearances.append(clr[1:])
-        x = pos[-1]
-        steps_used += pos.shape[0] - 1
-        reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
+        positions.append(pos[0, 1:])
+        clearances.append(clr[0, 1:])
+        x = pos[:, -1]
+        steps_used += pos.shape[1] - 1
+        reached = bool(np.linalg.norm(scene.goal - x[0]) <= cfg.goal_tolerance)
 
     clr = np.concatenate(clearances)
     traj = Trajectory(np.arange(steps_used + 1) * cfg.dt, np.concatenate(positions), clr)

@@ -244,6 +244,20 @@ def validate_scene(scene: Scene) -> None:
             raise ValueError(f"{name} lies inside or on an obstacle")
 
 
+def obstruction_scene(radius: float = 0.15) -> Scene:
+    """The midpoint-obstruction benchmark: one sphere centered on the middle
+    of a 0.8 m start-goal segment, so the straight line collides and only a
+    steered plan reaches the goal with positive clearance."""
+    start = np.array([-0.4, 0.0, 0.5])
+    goal = np.array([0.4, 0.0, 0.5])
+    return Scene(
+        obstacles=[SphereObstacle(center=(start + goal) / 2.0, radius=radius)],
+        start=start,
+        goal=goal,
+        workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # signed distance fields
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the midpoint-obstruction scene, canonical parameter
-vectors, and a cheap planner configuration for benchmark-style tests."""
+"""Shared fixtures: the midpoint-obstruction scene (``cfplan.obstruction_scene``,
+re-exported here), canonical parameter vectors, and a cheap planner
+configuration for benchmark-style tests."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cfplan import PlannerConfig, Scene, SphereObstacle, WorkspaceBounds
+from cfplan import PlannerConfig, Scene, WorkspaceBounds, obstruction_scene
 from cfplan.params import param_dim
 
 settings.register_profile(
@@ -44,18 +45,6 @@ def untuned_baseline(n_agents: int = N_AGENTS) -> np.ndarray:
     """Plain PD pull with an active detection shell but no avoidance gains;
     drives straight through whatever blocks the line to the goal."""
     return make_params(n_agents, k_p=10.0, k_v=5.0, r_d=0.3)
-
-
-def obstruction_scene(radius: float = 0.15) -> Scene:
-    """One sphere centered on the start-goal segment midpoint."""
-    start = np.array([-0.4, 0.0, 0.5])
-    goal = np.array([0.4, 0.0, 0.5])
-    return Scene(
-        obstacles=[SphereObstacle(center=(start + goal) / 2.0, radius=radius)],
-        start=start,
-        goal=goal,
-        workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
-    )
 
 
 def empty_scene(goal=(0.3, 0.2, 0.6)) -> Scene:

@@ -3,7 +3,8 @@
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion.  The two expensive stages (obstruction tuning, desk-scale dataset)
 run once in module-scoped fixtures and are shared by the criteria that
-consume their outputs.
+consume their outputs; those criteria carry the ``slow`` marker, so
+``pytest -m "not slow"`` skips both stages.
 """
 
 from __future__ import annotations
@@ -275,6 +276,7 @@ def test_criterion_05_empty_scene_convergence():
     print(f"criterion 5: {len(goals)} goals reached within tolerance in {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_obstruction_benchmark(obstruction_tuning):
     scene = obstruction_tuning["scene"]
     centers, radii = scene_arrays(scene)
@@ -352,6 +354,7 @@ def test_criterion_08_gp_dense_oracle():
     print("criterion 8: posterior mean/std match dense direct solve to 1e-8")
 
 
+@pytest.mark.slow
 def test_criterion_09_labeling_pipeline(desk_dataset):
     summary = desk_dataset["summary"]
     samples = desk_dataset["samples"]
@@ -381,6 +384,7 @@ def test_criterion_09_labeling_pipeline(desk_dataset):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_inference_consistency(desk_dataset):
     samples = desk_dataset["samples"]
     bounds = desk_dataset["bounds"]
@@ -402,6 +406,7 @@ def test_criterion_10_inference_consistency(desk_dataset):
     print(f"criterion 10: leave-in exact on {len(samples)} samples, 20 queries in bounds")
 
 
+@pytest.mark.slow
 def test_criterion_11_default_gain_failure(obstruction_tuning):
     scene = obstruction_tuning["scene"]
 

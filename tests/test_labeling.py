@@ -4,6 +4,7 @@ and end-to-end determinism on a miniature randomizer."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from cfplan.labeling import (
     label_scene,
     label_scene_set,
     load_dataset,
+    rejection,
     sample_from_dict,
     sample_to_dict,
     scene_surface_cloud,
+    tune_scene,
     write_dataset,
 )
 from cfplan.params import BoundsBox, param_dim
@@ -30,9 +33,12 @@ from cfplan.scene import (
     SphereObstacle,
     WorkspaceBounds,
     min_surface_distance,
+    obstruction_scene,
     scene_arrays,
 )
 from tests.conftest import empty_scene
+
+STORED_DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 
 AGENT_W = AgentCostWeights()
 TRAJ_W = TrajectoryCostWeights()
@@ -48,6 +54,16 @@ def narrow_bounds(n_agents: int = 7) -> BoundsBox:
     low[n_agents : 2 * n_agents] = 4.9                      # k_v
     high[n_agents : 2 * n_agents] = 5.1
     low[-1], high[-1] = 0.05, 0.0501                        # r_d
+    return BoundsBox(low, high)
+
+
+def blind_bounds(n_agents: int = 7) -> BoundsBox:
+    """Attraction-only gains as in ``narrow_bounds``, with a detection radius
+    of at most RHO_MIN: inside a sphere the clamped repulsion cancels and the
+    circular field is negligible, so every plan drives straight ahead."""
+    box = narrow_bounds(n_agents)
+    low, high = box.low.copy(), box.high.copy()
+    low[-1], high[-1] = 0.0, 1e-6
     return BoundsBox(low, high)
 
 
@@ -174,6 +190,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("length", [0, 5, 35, 37])
+    def test_load_rejects_bad_p_star_length(self, tmp_path, length):
+        path = tmp_path / "bad.jsonl"
+        good = sample_to_dict(self.sample())
+        bad = dict(good, p_star=[1.0] * length)
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: p_star has {length} entries, not 5 n"):
+            load_dataset(path)
+
+    def test_load_rejects_mixed_agent_counts(self, tmp_path):
+        # 36 entries (7 agents), then a valid 11 (2 agents) on line 3
+        path = tmp_path / "mixed.jsonl"
+        good = sample_to_dict(self.sample())
+        other = dict(good, p_star=[1.0] * 11)
+        path.write_text("\n".join(json.dumps(r) for r in (good, good, other)) + "\n")
+        with pytest.raises(ValueError, match="mixed.jsonl:3: p_star has 11 entries, the first 36"):
+            load_dataset(path)
+
+    def test_load_stored_benchmark_dataset(self):
+        samples = load_dataset(STORED_DATASET)
+        assert len(samples) == 6
+        assert all(s.p_star.shape == (36,) for s in samples)
+
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text(json.dumps(sample_to_dict(self.sample())) + "\n\n")
@@ -217,6 +256,28 @@ class TestLabelScene:
         )
         assert sample is None
 
+    def test_colliding_plan_returns_none(self):
+        # the straight line to the goal runs through the obstruction sphere:
+        # the plan reaches the goal but must not be stored
+        scene = obstruction_scene()
+        _, final = tune_scene(
+            scene, CHEAP_CFG, AGENT_W, TRAJ_W, blind_bounds(), n_init=2, n_iter=0, seed=1
+        )
+        assert final.reached and final.min_clearance < 0.0
+        assert rejection(final) == "collides"
+        sample = label_scene(
+            scene,
+            scene_id=0,
+            planner_cfg=CHEAP_CFG,
+            agent_weights=AGENT_W,
+            traj_weights=TRAJ_W,
+            bounds=blind_bounds(),
+            n_init=2,
+            n_iter=0,
+            seed=1,
+        )
+        assert sample is None
+
 
 class TestLabelSceneSet:
     def test_summary_schema(self, tmp_path):
@@ -240,7 +301,30 @@ class TestLabelSceneSet:
         assert summary["wall_time_s"] > 0.0
         assert [row["scene_id"] for row in summary["per_scene"]] == [3, 4]
         assert all(row["reached"] for row in summary["per_scene"])
+        assert [row["reason"] for row in summary["per_scene"]] == [None, None]
         assert len(load_dataset(out)) == 2
+
+    def test_colliding_scene_rejected_with_reason(self, tmp_path):
+        out = tmp_path / "set.jsonl"
+        summary = label_scene_set(
+            [easy_scene(), obstruction_scene()],
+            scene_ids=[0, 1],
+            seeds=[1, 1],
+            planner_cfg=CHEAP_CFG,
+            agent_weights=AGENT_W,
+            traj_weights=TRAJ_W,
+            out_path=out,
+            bounds=blind_bounds(),
+            n_init=2,
+            n_iter=0,
+        )
+        rows = summary["per_scene"]
+        assert [(row["reached"], row["reason"]) for row in rows] == [
+            (True, None),
+            (True, "collides"),
+        ]
+        assert summary["n_succeeded"] == 1
+        assert [s.scene_id for s in load_dataset(out)] == [0]
 
     def test_failures_not_written(self, tmp_path):
         out = tmp_path / "set.jsonl"
@@ -258,6 +342,8 @@ class TestLabelSceneSet:
             n_iter=0,
         )
         assert summary["n_succeeded"] == 0
+        assert summary["per_scene"][0]["reason"] == "unreached"
+        assert not summary["per_scene"][0]["reached"]
         assert load_dataset(out) == []
 
     def test_progress_callback(self, tmp_path):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cfplan import planner
 from cfplan.cost import AgentCostWeights, agent_cost
-from cfplan.fields import AgentKinematics
+from cfplan.fields import AgentKinematics, steering_force
+from cfplan.heuristics import compute_current
 from cfplan.planner import (
     EMPTY_CLEARANCE,
     PlannerConfig,
@@ -17,7 +19,16 @@ from cfplan.planner import (
     plan_step,
     rollout,
 )
-from cfplan.scene import min_surface_distance, scene_arrays
+from cfplan.scene import (
+    Scene,
+    SphereObstacle,
+    WorkspaceBounds,
+    default_desk_randomizer,
+    min_surface_distance,
+    randomize_scene,
+    scene_arrays,
+)
+from cfplan.vec3 import norms
 from tests.conftest import BENCH_CFG, make_params, obstruction_scene, untuned_baseline
 
 WEIGHTS = AgentCostWeights()
@@ -157,6 +168,103 @@ class TestPlanStep:
             a.id: agent_cost(rollout(a, scene, cfg), scene, WEIGHTS) for a in agents
         }
         assert costs[chosen] == min(costs.values())
+
+
+def spread_agents(p: np.ndarray, cfg: PlannerConfig, around, seed: int, spread: float = 0.15):
+    """Committee agents at different states around a point, so that they see
+    different numbers of obstacles in their shells."""
+    rng = np.random.default_rng(seed)
+    agents = make_agents(p, cfg)
+    for a in agents:
+        a.state = AgentKinematics(
+            np.asarray(around) + rng.uniform(-spread, spread, 3), rng.uniform(-0.6, 0.6, 3)
+        )
+    return agents
+
+
+def clutter_scene() -> Scene:
+    """Six spheres around the start, close enough to each other that every
+    one has a nearest neighbour inside a 0.3 m shell."""
+    centers = [(0.0, 0.12, 0.5), (0.1, -0.1, 0.5), (-0.12, 0.0, 0.55),
+               (0.05, 0.0, 0.68), (0.2, 0.1, 0.45), (-0.05, -0.15, 0.35)]
+    return Scene(
+        obstacles=[SphereObstacle(c, 0.04) for c in centers],
+        start=(0.0, 0.0, 0.5),
+        goal=(0.6, 0.1, 0.5),
+        workspace=WorkspaceBounds((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
+    )
+
+
+JACOBIAN = np.random.default_rng(1).standard_normal((3, 7))
+# gains per agent (k_p, k_v, k_cf, k_manip, k_r) differ, so that every force
+# term and every heuristic, random ones included, is in play
+LOCKSTEP_P = np.r_[
+    np.linspace(5.0, 20.0, 7), np.linspace(2.0, 8.0, 7), np.linspace(10.0, 80.0, 7),
+    np.linspace(0.5, 3.0, 7), np.linspace(0.05, 0.4, 7), 0.3,
+]
+CFG_JAC = PlannerConfig(master_seed=4, jacobian=JACOBIAN)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("which", ["obstruction", "clutter", "desk"])
+    def test_committee_equals_single_agent_rollouts(self, which):
+        # one lockstep rollout of seven agents equals seven one-agent
+        # rollouts bit for bit, random streams and arm pull included
+        scene = {
+            "obstruction": obstruction_scene,
+            "clutter": clutter_scene,
+            "desk": lambda: randomize_scene(default_desk_randomizer(), 0),
+        }[which]()
+        cfg = PlannerConfig(horizon=25, master_seed=4, jacobian=JACOBIAN)
+        agents = spread_agents(LOCKSTEP_P, cfg, scene.start, seed=2)
+        together = planner._rollouts(agents, scene, cfg)
+        assert len(together) == 7
+        for agent, traj in zip(agents, together):
+            alone = rollout(agent, scene, cfg)
+            assert np.array_equal(traj.positions, alone.positions)
+            assert np.array_equal(traj.clearances, alone.clearances)
+
+    @pytest.mark.parametrize("which", ["obstruction", "clutter"])
+    def test_forces_match_scalar_oracle(self, which):
+        # one lockstep force evaluation against fields.steering_force with
+        # currents from heuristics.compute_current, agent by agent
+        if which == "obstruction":
+            # 0.3 m from the sphere center, 0.15 m from its surface
+            scene = obstruction_scene()
+            agents = spread_agents(LOCKSTEP_P, CFG_JAC, scene.start + (0.1, 0, 0), 3, 0.08)
+        else:
+            scene = clutter_scene()
+            agents = spread_agents(LOCKSTEP_P, CFG_JAC, scene.start, seed=3)
+        cfg = CFG_JAC
+        x = np.stack([a.state.position for a in agents])
+        v = np.stack([a.state.velocity for a in agents])
+        offsets = x[:, None, :] - scene.centers
+        dist = norms(offsets)
+        surf = dist - scene.radii
+        assert surf.min() > 0.0  # the scalar repulsion rejects overlaps
+        assert np.all(np.any(surf <= agents[0].r_d, axis=1))  # every agent steers
+        rngs = [planner._rollout_rng(cfg, a) for a in agents]
+        force = planner._forces(
+            x, v, offsets, dist, surf, scene, planner._Committee.of(agents), rngs,
+            cfg.manip_direction,
+        )
+        obstacles = scene.obstacles
+        for k, a in enumerate(agents):
+            rng = planner._rollout_rng(cfg, a)
+            currents = [
+                compute_current(
+                    a.heuristic, a.state, o, scene.goal,
+                    others=obstacles[:i] + obstacles[i + 1 :], rng=rng,
+                )
+                if o.surface_distance(a.state.position) <= a.r_d
+                else np.zeros(3)
+                for i, o in enumerate(obstacles)
+            ]
+            want = steering_force(
+                a.state, scene.goal, obstacles, currents, a.gains, a.r_d, JACOBIAN
+            )
+            scale = max(float(np.linalg.norm(want)), 1.0)
+            assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, a.heuristic
 
 
 class TestExecute:
