@@ -19,7 +19,7 @@ from .fields import (
     steering_force,
 )
 from .gp import gp_fit, gp_predict
-from .heuristics import CurrentHeuristic, HeuristicKind, agent_heuristic, compute_current
+from .heuristics import HeuristicKind, agent_heuristic, compute_current
 from .inference import SceneDescriptor, featurize, knn_predict
 from .labeling import (
     LabeledSample,

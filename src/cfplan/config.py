@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,14 @@ def default_run_config() -> RunConfig:
         bounds=default_bounds(),
         randomizer=default_desk_randomizer(),
     )
+
+
+def _integer(name: str, value) -> int:
+    """``value`` when it is an integer; ValueError for anything else, bools
+    and integral floats included (``int()`` would truncate 8.7 to 8)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_keys(section: str, data: dict, allowed) -> None:
@@ -142,9 +151,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         ),
         bounds=_bounds_from_dict(data.get("bounds", {}), planner.n_agents),
         randomizer=_randomizer_from_dict(data.get("randomizer", {})),
-        n_init=int(tuner.get("n_init", 8)),
-        n_iter=int(tuner.get("n_iter", 48)),
-        knn_k=int(data.get("knn_k", 3)),
+        n_init=_integer("tuner.n_init", tuner.get("n_init", 8)),
+        n_iter=_integer("tuner.n_iter", tuner.get("n_iter", 48)),
+        knn_k=_integer("knn_k", data.get("knn_k", 3)),
     )
 
 

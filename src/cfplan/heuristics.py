@@ -13,7 +13,6 @@ from the agent to the obstacle center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -37,15 +36,9 @@ class HeuristicKind(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class CurrentHeuristic:
-    kind: HeuristicKind
-    stream: int = 0  # distinguishes independent random heuristics
-
-
-def agent_heuristic(agent_id: int) -> CurrentHeuristic:
+def agent_heuristic(agent_id: int) -> HeuristicKind:
     """Heuristic assignment by 1-based agent id: five deterministic agents,
-    then independent random streams."""
+    then random ones."""
     order = (
         HeuristicKind.VELOCITY,
         HeuristicKind.PATH_LENGTH,
@@ -56,8 +49,8 @@ def agent_heuristic(agent_id: int) -> CurrentHeuristic:
     if agent_id < 1:
         raise ValueError("agent ids are 1-based")
     if agent_id <= len(order):
-        return CurrentHeuristic(order[agent_id - 1])
-    return CurrentHeuristic(HeuristicKind.RANDOM, stream=agent_id - len(order))
+        return order[agent_id - 1]
+    return HeuristicKind.RANDOM
 
 
 def _normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +81,7 @@ def _kind_codes(kinds: tuple[HeuristicKind, ...]) -> np.ndarray:
     return codes
 
 
-def pair_currents(
+def batch_currents(
     kinds: tuple[HeuristicKind, ...],
     agent: np.ndarray,
     positions: np.ndarray,
@@ -181,38 +174,6 @@ def _flip_toward_goal(c, v, gap, agent):
     return np.where(score[:, None] < 0.0, -c, c)
 
 
-def batch_currents(
-    heuristic: CurrentHeuristic,
-    position: np.ndarray,
-    velocity: np.ndarray,
-    centers: np.ndarray,
-    goal: np.ndarray,
-    nn_centers: np.ndarray | None,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Unit current per obstacle for one agent, vectorized over the rows of
-    ``centers``; ``pair_currents`` for a committee of one.
-
-    ``nn_centers`` carries, per obstacle, the center of its nearest other
-    obstacle (None when the scene has fewer than two obstacles).  Random
-    currents consume ``rng`` in row order, so a batched call matches repeated
-    single-obstacle calls on the same generator state.
-    """
-    position = np.asarray(position, dtype=float)
-    offsets = position - centers
-    return pair_currents(
-        (heuristic.kind,),
-        np.zeros(centers.shape[0], dtype=np.intp),
-        position[None, :],
-        np.asarray(velocity, dtype=float)[None, :],
-        offsets,
-        norms(offsets),
-        goal,
-        nn_centers,
-        (rng,),
-    )
-
-
 def _unit(raw: np.ndarray, d: np.ndarray) -> np.ndarray:
     # normalize raw; below _EPS fall back to d x e_z, then to d x e_x
     for vec in (raw, np.cross(d, _EZ), np.cross(d, _EX)):
@@ -223,7 +184,7 @@ def _unit(raw: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def compute_current(
-    heuristic: CurrentHeuristic,
+    kind: HeuristicKind,
     kin: AgentKinematics,
     obstacle: SphereObstacle,
     goal,
@@ -231,14 +192,14 @@ def compute_current(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Unit current for a single obstacle: the scalar reference that
-    ``pair_currents`` vectorizes, written one heuristic at a time.
+    ``batch_currents`` vectorizes, written one heuristic at a time.
 
     ``others`` lists the remaining obstacles (used by the obstacle-distance
     heuristics to find the nearest neighbor of ``obstacle``; the first of
     equally near ones wins).  ``rng`` is required for random heuristics.
     """
     goal = as_vec3(goal)
-    x, v, kind = kin.position, kin.velocity, heuristic.kind
+    x, v = kin.position, kin.velocity
     if kind is HeuristicKind.RANDOM and rng is None:
         raise ValueError("random heuristics need an rng")
     d = obstacle.center - x

@@ -32,7 +32,6 @@ class LabeledSample:
     points: np.ndarray  # (CLOUD_SIZE, 3)
     p_star: np.ndarray  # flat parameter vector
     best_cost: float
-    reached: bool = True  # stored samples always reached; kept for audit trails
 
 
 def scene_surface_cloud(
@@ -101,9 +100,23 @@ def rejection(final: PlanResult) -> str | None:
     return None
 
 
-def _label_scene(
-    scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+def label_scene(
+    scene: Scene,
+    scene_id: int,
+    planner_cfg: PlannerConfig,
+    agent_weights: AgentCostWeights,
+    traj_weights: TrajectoryCostWeights,
+    bounds: BoundsBox | None = None,
+    n_init: int = 8,
+    n_iter: int = 48,
+    seed: int = 0,
 ) -> tuple[LabeledSample | None, str | None]:
+    """Tune the parameter vector for one scene and package the result.
+
+    Returns the sample and None, or None and the reason (see ``rejection``)
+    when even the tuned parameters fail to reach the goal or collide on the
+    way.
+    """
     tuned, final = tune_scene(
         scene, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
     )
@@ -116,30 +129,8 @@ def _label_scene(
         points=cloud.points,
         p_star=np.asarray(tuned.best_p, dtype=float),
         best_cost=float(tuned.best_y),
-        reached=True,
     )
     return sample, None
-
-
-def label_scene(
-    scene: Scene,
-    scene_id: int,
-    planner_cfg: PlannerConfig,
-    agent_weights: AgentCostWeights,
-    traj_weights: TrajectoryCostWeights,
-    bounds: BoundsBox | None = None,
-    n_init: int = 8,
-    n_iter: int = 48,
-    seed: int = 0,
-) -> LabeledSample | None:
-    """Tune the parameter vector for one scene and package the result.
-
-    Returns None when even the tuned parameters fail to reach the goal or
-    collide on the way (see ``rejection``).
-    """
-    return _label_scene(
-        scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
-    )[0]
 
 
 def expand_seeds(n_scenes: int, seeds) -> list[int]:
@@ -167,7 +158,9 @@ def label_scene_set(
     on_scene=None,
 ) -> dict:
     """Label every scene in ``scenes``, write the successes to ``out_path``
-    as JSON lines, and return a summary dict.
+    as JSON lines, and return a summary dict.  ``scene_ids`` and ``seeds``
+    give each scene's stored id and tuner seed; a length mismatch among the
+    three raises ValueError before any tuning.
 
     Scenes are independent, so the loop is embarrassingly parallel; this
     implementation keeps it sequential for determinism.  ``on_scene`` is an
@@ -175,12 +168,17 @@ def label_scene_set(
     reporting.  Each ``per_scene`` row says whether the tuned plan reached
     the goal and, in ``reason``, why it was not stored (None when it was;
     see ``rejection``)."""
+    scenes, scene_ids, seeds = list(scenes), list(scene_ids), list(seeds)
+    if not len(scenes) == len(scene_ids) == len(seeds):
+        raise ValueError(
+            f"{len(scenes)} scenes, {len(scene_ids)} scene ids and {len(seeds)} seeds"
+        )
     t0 = time.perf_counter()
     samples = []
     per_scene = []
     for idx, (scene, scene_id, seed) in enumerate(zip(scenes, scene_ids, seeds)):
         t_scene = time.perf_counter()
-        sample, reason = _label_scene(
+        sample, reason = label_scene(
             scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
         )
         if sample is not None:
@@ -200,7 +198,7 @@ def label_scene_set(
     return {
         "n_attempted": len(scenes),
         "n_succeeded": len(samples),
-        "seeds": list(seeds),
+        "seeds": seeds,
         "wall_time_s": time.perf_counter() - t0,
         "per_scene": per_scene,
     }

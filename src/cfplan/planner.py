@@ -10,12 +10,11 @@ speed cap.
 One lockstep kernel, ``_simulate``, does all simulation.  It advances an
 (A, 3) state for every agent at once: per step one (A, n) surface-distance
 pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
-(``heuristics.pair_currents``, dispatching on each pair's heuristic), and
-per-agent sums of the obstacle forces.  ``plan_step`` runs it with the whole
-committee; the executor's committed segment and ``rollout`` run it with
-A = 1.  Every agent's result is bitwise the one it would get alone: the
-kernel keeps each rounding step of the per-agent computation (see
-``cfplan.vec3``).
+(``heuristics.batch_currents``, dispatching on each pair's heuristic), and
+per-agent sums of the obstacle forces.  ``rollout`` runs it with the agents
+``plan_step`` is given, the executor's committed segment with A = 1.  Every
+agent's result is bitwise the one it would get alone: the kernel keeps each
+rounding step of the per-agent computation (see ``cfplan.vec3``).
 
 Random-heuristic agents reseed their generator from
 ``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
@@ -34,6 +33,7 @@ exception mid-rollout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from .cost import AgentCostWeights, agent_cost
 from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
-from .heuristics import CurrentHeuristic, HeuristicKind, agent_heuristic, pair_currents
+from .heuristics import HeuristicKind, agent_heuristic, batch_currents
 from .params import agent_gains, detection_radius, validate_params
 from .scene import Scene, as_vec3
 from .vec3 import dots, norms
@@ -67,9 +67,18 @@ class PlannerConfig:
     jacobian: np.ndarray | None = None  # 3 x n arm Jacobian, None disables the pull
 
     def __post_init__(self):
+        for names, kind, what in (
+            (("n_agents", "horizon", "replan_every", "max_steps", "master_seed"),
+             numbers.Integral, "an integer"),
+            (("dt", "mass", "v_max", "goal_tolerance"), numbers.Real, "a real number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.n_agents < 1 or self.horizon < 1 or self.replan_every < 1:
             raise ValueError("n_agents, horizon and replan_every must be >= 1")
-        if min(self.dt, self.mass, self.v_max, self.goal_tolerance) <= 0.0:
+        if not all(x > 0.0 for x in (self.dt, self.mass, self.v_max, self.goal_tolerance)):
             raise ValueError("dt, mass, v_max and goal_tolerance must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
@@ -117,7 +126,7 @@ class Trajectory:
 @dataclass
 class Agent:
     id: int  # 1-based
-    heuristic: CurrentHeuristic
+    heuristic: HeuristicKind
     gains: GainSet
     r_d: float
     state: AgentKinematics
@@ -179,7 +188,7 @@ class _Committee:
         k_r = np.array([x.k_r for x in g])
         r_d = np.array([a.r_d for a in agents])
         return cls(
-            kinds=tuple(a.heuristic.kind for a in agents),
+            kinds=tuple(a.heuristic for a in agents),
             pull=col([x.vel_scale * x.k_p for x in g]),
             k_v=col([x.k_v for x in g]),
             k_cf=k_cf[:, None],
@@ -229,7 +238,7 @@ def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, mani
         ci, ca = _subset(idx, agent, com.circling)
         if ci.size:
             nn = scene.nn_centers
-            currents = pair_currents(
+            currents = batch_currents(
                 com.kinds, ca, x, v, flat.take(ci, axis=0), dist.take(ci), scene.goal,
                 None if nn is None else nn.take(ci % n, axis=0), rngs,
             )
@@ -290,11 +299,11 @@ def _simulate(
         i += 1
 
 
-def make_agents(p: np.ndarray, cfg: PlannerConfig, state: AgentKinematics | None = None) -> list[Agent]:
-    """Agents 1..n_agents with gains sliced out of the flat parameter vector."""
+def make_agents(p: np.ndarray, cfg: PlannerConfig) -> list[Agent]:
+    """Agents 1..n_agents with gains sliced out of the flat parameter vector,
+    each at rest at the origin."""
     p = validate_params(p, cfg.n_agents)
-    if state is None:
-        state = AgentKinematics(np.zeros(3), np.zeros(3))
+    state = AgentKinematics(np.zeros(3), np.zeros(3))
     r_d = detection_radius(p)
     return [
         Agent(
@@ -310,27 +319,22 @@ def make_agents(p: np.ndarray, cfg: PlannerConfig, state: AgentKinematics | None
 
 def _rollout_rng(cfg: PlannerConfig, agent: Agent) -> np.random.Generator | None:
     """The agent's own random stream; None for deterministic heuristics."""
-    if agent.heuristic.kind is not HeuristicKind.RANDOM:
+    if agent.heuristic is not HeuristicKind.RANDOM:
         return None
     return np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & _SEED_MASK, agent.id])
     )
 
 
-def _rollouts(agents: list[Agent], scene: Scene, cfg: PlannerConfig) -> list[Trajectory]:
-    """Simulate ``cfg.horizon`` steps of every agent's field from its state,
-    all agents in lockstep."""
+def rollout(agents: list[Agent], scene: Scene, cfg: PlannerConfig) -> list[Trajectory]:
+    """Simulate ``cfg.horizon`` steps of every agent's field from its own
+    state, all agents in lockstep; one trajectory per agent, in order."""
     x = np.stack([a.state.position for a in agents])
     v = np.stack([a.state.velocity for a in agents])
     rngs = [_rollout_rng(cfg, a) for a in agents]
     pos, clr, _ = _simulate(x, v, cfg.horizon, scene, _Committee.of(agents), cfg, rngs)
     times = np.arange(cfg.horizon + 1) * cfg.dt
     return [Trajectory(times, pos[k], clr[k]) for k in range(len(agents))]
-
-
-def rollout(agent: Agent, scene: Scene, cfg: PlannerConfig) -> Trajectory:
-    """Simulate ``cfg.horizon`` steps of this agent's field from its state."""
-    return _rollouts([agent], scene, cfg)[0]
 
 
 def plan_step(
@@ -341,7 +345,7 @@ def plan_step(
 ) -> int:
     """Roll out every agent from its current state and return the id of the
     one with the lowest agent_cost (ties go to the lowest id)."""
-    costs = [agent_cost(traj, scene, weights) for traj in _rollouts(agents, scene, cfg)]
+    costs = [agent_cost(traj, scene, weights) for traj in rollout(agents, scene, cfg)]
     return agents[int(np.argmin(costs))].id
 
 

@@ -253,6 +253,44 @@ class TestPlan:
         assert code == 2
         assert "expected" in stderr
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("planner", "horizon", 10.5),
+            ("planner", "horizon", "50"),
+            ("planner", "n_agents", 7.0),
+            ("planner", "replan_every", True),
+            ("planner", "max_steps", 150.0),
+            ("planner", "master_seed", "3"),
+            ("planner", "dt", "0.01"),
+            ("planner", "dt", float("nan")),
+            ("planner", "v_max", True),
+            ("planner", "goal_tolerance", None),
+            ("tuner", "n_init", 8.7),
+            ("tuner", "n_iter", "0"),
+            (None, "knn_k", 2.5),
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, section, key, value):
+        scene_path = tmp_path / "scene.json"
+        io.save_scene(easy_scene(), scene_path)
+        params_path = tmp_path / "p.json"
+        io.save_params(untuned_baseline(), params_path)
+        config = {"planner": {"horizon": 10, "replan_every": 10, "max_steps": 150}}
+        if section is None:
+            config[key] = value
+        else:
+            config.setdefault(section, {})[key] = value
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config))
+        code, stdout, stderr = run_cli(
+            capsys, "plan", "--scene", str(scene_path), "--params", str(params_path),
+            "--config", str(config_path),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr and key in stderr
+
 
 class TestInfer:
     def make_dataset(self, tmp_path) -> str:

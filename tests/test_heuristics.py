@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from cfplan.fields import AgentKinematics
 from cfplan.heuristics import (
-    CurrentHeuristic,
     HeuristicKind,
     agent_heuristic,
     batch_currents,
     compute_current,
 )
 from cfplan.scene import SphereObstacle
+from cfplan.vec3 import norms
 
 GOAL = np.array([1.0, 0.5, 0.0])
 
@@ -27,7 +27,7 @@ def kin(position, velocity) -> AgentKinematics:
 
 def current_for(kind, position, velocity, center, goal=GOAL, others=(), rng=None):
     return compute_current(
-        CurrentHeuristic(kind),
+        kind,
         kin(position, velocity),
         SphereObstacle(center=center, radius=0.05),
         goal,
@@ -36,9 +36,27 @@ def current_for(kind, position, velocity, center, goal=GOAL, others=(), rng=None
     )
 
 
+def one_agent_currents(kind, position, velocity, centers, goal, nn_centers, rng):
+    """``batch_currents`` for a committee of one agent facing every row of
+    ``centers``."""
+    position = np.asarray(position, dtype=float)
+    offsets = position - centers
+    return batch_currents(
+        (kind,),
+        np.zeros(centers.shape[0], dtype=np.intp),
+        position[None, :],
+        np.asarray(velocity, dtype=float)[None, :],
+        offsets,
+        norms(offsets),
+        goal,
+        nn_centers,
+        (rng,),
+    )
+
+
 class TestAssignment:
     def test_deterministic_order(self):
-        kinds = [agent_heuristic(i).kind for i in range(1, 6)]
+        kinds = [agent_heuristic(i) for i in range(1, 6)]
         assert kinds == [
             HeuristicKind.VELOCITY,
             HeuristicKind.PATH_LENGTH,
@@ -48,9 +66,7 @@ class TestAssignment:
         ]
 
     def test_random_streams(self):
-        assert agent_heuristic(6) == CurrentHeuristic(HeuristicKind.RANDOM, stream=1)
-        assert agent_heuristic(7) == CurrentHeuristic(HeuristicKind.RANDOM, stream=2)
-        assert agent_heuristic(9).stream == 4
+        assert [agent_heuristic(i) for i in (6, 7, 9)] == [HeuristicKind.RANDOM] * 3
 
     def test_ids_are_one_based(self):
         with pytest.raises(ValueError):
@@ -197,8 +213,8 @@ class TestRandom:
     def test_batch_matches_scalar_sequence(self):
         # one batched call must consume the generator exactly like m scalar calls
         centers = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        h = CurrentHeuristic(HeuristicKind.RANDOM, stream=1)
-        batch = batch_currents(
+        h = HeuristicKind.RANDOM
+        batch = one_agent_currents(
             h, np.zeros(3), np.zeros(3), centers, GOAL, None, np.random.default_rng(3)
         )
         rng = np.random.default_rng(3)
@@ -236,12 +252,12 @@ class TestBatchAgreement:
         for i, c in enumerate(centers):
             rest = np.delete(centers, i, axis=0)
             nn[i] = rest[np.argmin(np.linalg.norm(rest - c, axis=1))]
-        batch = batch_currents(
-            CurrentHeuristic(kind), position, velocity, centers, GOAL, nn, np.random.default_rng(0)
+        batch = one_agent_currents(
+            kind, position, velocity, centers, GOAL, nn, np.random.default_rng(0)
         )
         for i, obstacle in enumerate(obstacles):
             single = compute_current(
-                CurrentHeuristic(kind),
+                kind,
                 kin(position, velocity),
                 obstacle,
                 GOAL,
@@ -250,8 +266,8 @@ class TestBatchAgreement:
             assert np.allclose(batch[i], single, atol=1e-12)
 
     def test_empty_batch(self):
-        out = batch_currents(
-            CurrentHeuristic(HeuristicKind.VELOCITY),
+        out = one_agent_currents(
+            HeuristicKind.VELOCITY,
             np.zeros(3),
             np.zeros(3),
             np.zeros((0, 3)),

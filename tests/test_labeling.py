@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfplan import labeling
 from cfplan.cost import AgentCostWeights, TrajectoryCostWeights
 from cfplan.labeling import (
     CLOUD_SIZE,
@@ -161,7 +162,6 @@ class TestSerialization:
         assert back.best_cost == 1.25
         assert np.array_equal(back.points, s.points)
         assert np.array_equal(back.p_star, s.p_star)
-        assert back.reached
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -221,7 +221,7 @@ class TestSerialization:
 
 class TestLabelScene:
     def test_success_packages_sample(self):
-        sample = label_scene(
+        sample, reason = label_scene(
             easy_scene(),
             scene_id=42,
             planner_cfg=CHEAP_CFG,
@@ -238,12 +238,12 @@ class TestLabelScene:
         assert sample.p_star.shape == (36,)
         assert narrow_bounds().contains(sample.p_star, atol=1e-9)
         assert np.isfinite(sample.best_cost)
-        assert sample.reached
+        assert reason is None
 
     def test_unreachable_returns_none(self):
         # too few steps to cover the start-goal distance at the speed cap
         cfg = PlannerConfig(horizon=10, replan_every=10, max_steps=20)
-        sample = label_scene(
+        sample, reason = label_scene(
             easy_scene(),
             scene_id=0,
             planner_cfg=cfg,
@@ -254,7 +254,7 @@ class TestLabelScene:
             n_iter=0,
             seed=1,
         )
-        assert sample is None
+        assert (sample, reason) == (None, "unreached")
 
     def test_colliding_plan_returns_none(self):
         # the straight line to the goal runs through the obstruction sphere:
@@ -265,7 +265,7 @@ class TestLabelScene:
         )
         assert final.reached and final.min_clearance < 0.0
         assert rejection(final) == "collides"
-        sample = label_scene(
+        sample, reason = label_scene(
             scene,
             scene_id=0,
             planner_cfg=CHEAP_CFG,
@@ -276,7 +276,7 @@ class TestLabelScene:
             n_iter=0,
             seed=1,
         )
-        assert sample is None
+        assert (sample, reason) == (None, "collides")
 
 
 class TestLabelSceneSet:
@@ -362,6 +362,40 @@ class TestLabelSceneSet:
             on_scene=lambda *a: calls.append(a),
         )
         assert calls == [(0, 1, 9, True)]
+
+    @pytest.mark.parametrize("scene_ids, seeds", [([0], [1, 2, 3]), ([0], [1, 2]), ([0, 1], [1])])
+    def test_length_mismatch_rejected_before_tuning(self, tmp_path, monkeypatch, scene_ids, seeds):
+        tuned = []
+        monkeypatch.setattr(labeling, "tune_scene", lambda *a, **k: tuned.append(a))
+        out = tmp_path / "mismatch.jsonl"
+        with pytest.raises(ValueError, match="2 scenes"):
+            label_scene_set(
+                [easy_scene(), easy_scene()],
+                scene_ids=scene_ids,
+                seeds=seeds,
+                planner_cfg=CHEAP_CFG,
+                agent_weights=AGENT_W,
+                traj_weights=TRAJ_W,
+                out_path=out,
+            )
+        assert tuned == [] and not out.exists()
+
+    def test_generator_inputs_are_read_once(self, tmp_path):
+        summary = label_scene_set(
+            (s for s in [easy_scene(), easy_scene()]),
+            scene_ids=iter([3, 4]),
+            seeds=(s for s in (5, 6)),
+            planner_cfg=CHEAP_CFG,
+            agent_weights=AGENT_W,
+            traj_weights=TRAJ_W,
+            out_path=tmp_path / "gen.jsonl",
+            bounds=narrow_bounds(),
+            n_init=2,
+            n_iter=0,
+        )
+        assert summary["n_attempted"] == 2
+        assert summary["seeds"] == [5, 6]
+        assert [(row["scene_id"], row["seed"]) for row in summary["per_scene"]] == [(3, 5), (4, 6)]
 
 
 def mini_randomizer() -> SceneRandomizerConfig:

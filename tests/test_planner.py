@@ -96,7 +96,7 @@ class TestRollout:
         cfg = PlannerConfig(horizon=20)
         agent = make_agents(untuned_baseline(), cfg)[0]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout(agent, scene, cfg)
+        traj = rollout([agent], scene, cfg)[0]
         assert len(traj) == 21
         assert np.allclose(np.diff(traj.times), cfg.dt)
         assert np.allclose(traj.positions[0], scene.start)
@@ -106,7 +106,7 @@ class TestRollout:
         cfg = PlannerConfig(horizon=15)
         agent = make_agents(untuned_baseline(), cfg)[2]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout(agent, scene, cfg)
+        traj = rollout([agent], scene, cfg)[0]
         centers, radii = scene_arrays(scene)
         for k in range(len(traj)):
             expected = min_surface_distance(traj.positions[k], centers, radii)
@@ -119,9 +119,9 @@ class TestRollout:
         p = make_params(k_p=8.0, k_v=4.0, k_cf=30.0, k_r=0.5, r_d=0.3)
         agent = make_agents(p, cfg)[5]  # id 6: first RANDOM heuristic
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        a = rollout(agent, scene, cfg)
-        _ = rollout(make_agents(p, cfg)[6], scene, cfg)  # interleaved other agent
-        b = rollout(agent, scene, cfg)
+        a = rollout([agent], scene, cfg)[0]
+        rollout([make_agents(p, cfg)[6]], scene, cfg)  # interleaved other agent
+        b = rollout([agent], scene, cfg)[0]
         assert np.array_equal(a.positions, b.positions)
 
     def test_master_seed_changes_random_agent(self):
@@ -132,7 +132,7 @@ class TestRollout:
             cfg = PlannerConfig(horizon=25, master_seed=seed)
             agent = make_agents(p, cfg)[5]
             agent.state = AgentKinematics(scene.start, np.zeros(3))
-            trajs.append(rollout(agent, scene, cfg))
+            trajs.append(rollout([agent], scene, cfg)[0])
         assert not np.array_equal(trajs[0].positions, trajs[1].positions)
 
     def test_speed_cap_limits_step_length(self):
@@ -141,7 +141,7 @@ class TestRollout:
         p = make_params(k_p=150.0, k_v=0.0, r_d=0.0)
         agent = make_agents(p, cfg)[0]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout(agent, scene, cfg)
+        traj = rollout([agent], scene, cfg)[0]
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
         assert np.all(steps <= cfg.v_max * cfg.dt + 1e-12)
 
@@ -165,7 +165,7 @@ class TestPlanStep:
             a.state = kin
         chosen = plan_step(agents, scene, cfg, WEIGHTS)
         costs = {
-            a.id: agent_cost(rollout(a, scene, cfg), scene, WEIGHTS) for a in agents
+            a.id: agent_cost(rollout([a], scene, cfg)[0], scene, WEIGHTS) for a in agents
         }
         assert costs[chosen] == min(costs.values())
 
@@ -217,10 +217,10 @@ class TestLockstep:
         }[which]()
         cfg = PlannerConfig(horizon=25, master_seed=4, jacobian=JACOBIAN)
         agents = spread_agents(LOCKSTEP_P, cfg, scene.start, seed=2)
-        together = planner._rollouts(agents, scene, cfg)
+        together = rollout(agents, scene, cfg)
         assert len(together) == 7
         for agent, traj in zip(agents, together):
-            alone = rollout(agent, scene, cfg)
+            alone = rollout([agent], scene, cfg)[0]
             assert np.array_equal(traj.positions, alone.positions)
             assert np.array_equal(traj.clearances, alone.clearances)
 
