@@ -14,6 +14,11 @@ The inputs are the midpoint-obstruction scene with 16 random and 3 fixed
 parameter vectors under two planner settings (one whose ``max_steps`` is not a multiple
 of ``replan_every``), each with and without an arm Jacobian, and the desk
 scenes labeled in ``perfbench/data/desk_train.jsonl`` with their stored gains.
+
+The ``clouds`` line before ``all`` hashes the surface clouds of those desk
+scenes, drawn as they were stored, and of two unseen desk scenes, drawn as
+``cfplan plan --infer`` draws them; it stays out of ``all`` so that ``all``
+compares with checkouts that print no ``clouds`` line.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from cfplan import (
     execute,
     obstruction_scene,
     randomize_scene,
+    scene_surface_cloud,
     trajectory_cost,
 )
 
@@ -43,6 +49,12 @@ CONFIGS = {
     "h20r20": dict(horizon=20, replan_every=20, max_steps=600),
     "h30r7": dict(horizon=30, replan_every=7, max_steps=250, master_seed=3),
 }
+QUERY_SCENES = (3, 3173392)  # desk seeds no label uses
+
+
+def stored_labels() -> list[dict]:
+    with open(DATASET, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def digest(scene: Scene, p: np.ndarray, cfg: PlannerConfig) -> tuple[str, str]:
@@ -84,9 +96,7 @@ def cases():
                 name = f"obstruction/p{i:02d}/{cfg_name}/{jac_name}"
                 yield name, scene, p, PlannerConfig(jacobian=jac, **kw)
     desk = default_desk_randomizer()
-    with open(DATASET, encoding="utf-8") as fh:
-        labels = [json.loads(line) for line in fh if line.strip()]
-    for k, label in enumerate(labels):
+    for k, label in enumerate(stored_labels()):
         scene = randomize_scene(desk, label["scene_id"])
         p = np.asarray(label["p_star"], dtype=float)
         jacs = (("nojac", None), ("jac", JACOBIAN)) if k < 2 else (("nojac", None),)
@@ -95,12 +105,23 @@ def cases():
             yield name, scene, p, PlannerConfig(jacobian=jac, **CONFIGS["h20r20"])
 
 
+def clouds_digest() -> str:
+    desk = default_desk_randomizer()
+    draws = [(label["scene_id"], label["scene_id"]) for label in stored_labels()]
+    draws += [(scene_id, 0) for scene_id in QUERY_SCENES]
+    h = hashlib.sha256()
+    for scene_id, seed in draws:
+        h.update(scene_surface_cloud(randomize_scene(desk, scene_id), seed=seed).points.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     total = hashlib.sha256()
     for name, scene, p, cfg in cases():
         summary, hexdigest = digest(scene, p, cfg)
         total.update(hexdigest.encode())
         print(f"{name:34s} {summary:26s} {hexdigest[:16]}", flush=True)
+    print(f"clouds {clouds_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 

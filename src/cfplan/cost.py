@@ -39,7 +39,7 @@ class TrajectoryCostWeights:
 
 
 def surface_clearances(
-    positions: np.ndarray, centers: np.ndarray, radii: np.ndarray, chunk: int = 256
+    positions: np.ndarray, centers: np.ndarray, radii: np.ndarray, chunk: int = 64
 ) -> np.ndarray:
     """Per-row minimum surface distance to any sphere; empty scenes yield +inf."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)

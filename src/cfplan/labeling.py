@@ -20,7 +20,14 @@ from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
 from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig, PlanResult, execute
-from .scene import PointCloud, Scene, SceneRandomizerConfig, randomize_scene, subsample
+from .scene import (
+    PointCloud,
+    Scene,
+    SceneRandomizerConfig,
+    check_n_points,
+    randomize_scene,
+    subsample,
+)
 
 CLOUD_SIZE = 2500
 SURFACE_DENSITY = 400.0  # sample points per square meter of sphere surface
@@ -44,6 +51,7 @@ def scene_surface_cloud(
     roughly SURFACE_DENSITY per square meter, with a floor that guarantees at
     least ``n_points`` raw samples overall.
     """
+    check_n_points(n_points)
     if not scene.obstacles:
         return PointCloud(np.zeros((0, 3)))
     rng = np.random.default_rng(seed)

@@ -11,11 +11,13 @@ a cell, so occupied cells are covered without gaps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -23,7 +25,9 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def as_vec3(value) -> Vec3:
-    v = np.asarray(value, dtype=float).reshape(3)
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,):  # a no-op reshape would add a second array object per vector
+        v = v.reshape(3)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"non-finite 3-vector: {value!r}")
     return v
@@ -205,7 +209,7 @@ class Scene:
         n = centers.shape[0]
         if n < 2:
             return None
-        chunk = 512  # bounds the (chunk, n) distance block
+        chunk = 64  # bounds the (chunk, n, 3) difference block
         nearest = np.empty(n, dtype=np.int64)
         for s in range(0, n, chunk):
             block = centers[s : s + chunk]
@@ -305,17 +309,25 @@ def depth_to_cloud(image: DepthImage) -> PointCloud:
     return PointCloud(base)
 
 
+def check_n_points(n_points) -> None:
+    """Raise ValueError unless ``n_points`` is a positive integer; bools and
+    integral floats are rejected too."""
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points <= 0:
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
+
+
 def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     """Farthest-point subsample down to ``n_points``.
 
     Starts from the point nearest the cloud centroid and greedily adds the
     point farthest from the selected set; index order breaks ties, so the
-    result is deterministic.
+    result is deterministic.  Each pick ``nxt`` is the argmax of ``dist``,
+    so no point farther than ``r = dist[nxt]`` from it can lose distance:
+    only the points of one ball query of radius ``r`` are updated.
     """
+    check_n_points(n_points)
     pts = cloud.points
     n = pts.shape[0]
-    if n_points <= 0:
-        raise ValueError("n_points must be positive")
     if n <= n_points:
         return PointCloud(pts.copy())
     centroid = pts.mean(axis=0)
@@ -323,10 +335,14 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     chosen = np.empty(n_points, dtype=int)
     chosen[0] = first
     dist = np.linalg.norm(pts - pts[first], axis=1)
+    tree = cKDTree(pts)
     for i in range(1, n_points):
         nxt = int(np.argmax(dist))
         chosen[i] = nxt
-        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
+        # the margin covers the tree's own rounding of the distances
+        ball = tree.query_ball_point(pts[nxt], dist[nxt] * (1 + 1e-9) + 1e-12)
+        idx = np.array(ball, dtype=np.intp)
+        dist[idx] = np.minimum(dist[idx], np.linalg.norm(pts[idx] - pts[nxt], axis=1))
     return PointCloud(pts[chosen])
 
 

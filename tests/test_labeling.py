@@ -33,8 +33,10 @@ from cfplan.scene import (
     SceneRandomizerConfig,
     SphereObstacle,
     WorkspaceBounds,
+    default_desk_randomizer,
     min_surface_distance,
     obstruction_scene,
+    randomize_scene,
     scene_arrays,
 )
 from tests.conftest import empty_scene
@@ -120,6 +122,21 @@ class TestSurfaceCloud:
     def test_empty_scene_zero_points(self):
         cloud = scene_surface_cloud(empty_scene(), n_points=100)
         assert cloud.points.shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, 300.0, True, "300"])
+    @pytest.mark.parametrize("scene", [easy_scene(), empty_scene()], ids=["easy", "empty"])
+    def test_rejects_malformed_n_points(self, scene, bad):
+        with pytest.raises(ValueError, match="n_points"):
+            scene_surface_cloud(scene, n_points=bad)
+
+    def test_stored_dataset_clouds_reproduce(self):
+        # query clouds and stored clouds must come from the same sampler
+        desk = default_desk_randomizer()
+        samples = load_dataset(STORED_DATASET)
+        assert len(samples) == 6
+        for s in samples:
+            cloud = scene_surface_cloud(randomize_scene(desk, s.scene_id), seed=s.scene_id)
+            assert np.array_equal(cloud.points, s.points), s.scene_id
 
     def test_deterministic_in_seed(self):
         a = scene_surface_cloud(easy_scene(), n_points=150, seed=4)

@@ -177,7 +177,65 @@ class TestDepthToCloud:
         assert np.allclose(depth_to_cloud(img).points[0], [1.1, 0.2, 0.3], atol=1e-12)
 
 
+def fps_reference(cloud: PointCloud, n_points: int) -> PointCloud:
+    """The brute-force loop ``subsample`` prunes: every pick recomputes the
+    distance of every point to it."""
+    pts = cloud.points
+    n = pts.shape[0]
+    if n <= n_points:
+        return PointCloud(pts.copy())
+    centroid = pts.mean(axis=0)
+    first = int(np.argmin(np.linalg.norm(pts - centroid, axis=1)))
+    chosen = np.empty(n_points, dtype=int)
+    chosen[0] = first
+    dist = np.linalg.norm(pts - pts[first], axis=1)
+    for i in range(1, n_points):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
+    return PointCloud(pts[chosen])
+
+
+def _fps_clouds() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    return {
+        "uniform": rng.uniform(-1.0, 1.0, size=(400, 3)),
+        # exact distance ties everywhere, in an order where the lowest index
+        # is not the first lattice point
+        "lattice": rng.permutation(grid),
+        # the same lattice at a spacing that rounds, so ties become near-ties
+        "lattice_scaled": rng.permutation(grid) * 0.1 + 0.3,
+        # 20 distinct points four times over: r reaches 0 after 20 picks
+        "duplicates": rng.permutation(np.repeat(rng.uniform(-1.0, 1.0, size=(20, 3)), 4, axis=0)),
+        "collinear": np.outer(rng.uniform(-1.0, 1.0, size=300), [0.3, -0.7, 0.2]) + 0.1,
+    }
+
+
+FPS_CLOUDS = _fps_clouds()
+
+
 class TestSubsample:
+    @pytest.mark.parametrize("name", sorted(FPS_CLOUDS))
+    @pytest.mark.parametrize("which", ["1", "2", "third", "n-1", "n"])
+    def test_matches_brute_force_reference(self, name, which):
+        cloud = PointCloud(FPS_CLOUDS[name])
+        n = len(cloud)
+        k = {"1": 1, "2": 2, "third": n // 3, "n-1": n - 1, "n": n}[which]
+        assert np.array_equal(subsample(cloud, k).points, fps_reference(cloud, k).points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2, max_size=60),
+        scale=st.sampled_from([1.0, 0.1, 1e-3]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_small_integer_clouds_match_reference(self, cells, scale, frac):
+        # coordinates on a 4^3 lattice: exact ties and duplicated points
+        cloud = PointCloud(np.array(cells, dtype=float) * scale)
+        k = 1 + int(frac * (len(cloud) - 1))
+        assert np.array_equal(subsample(cloud, k).points, fps_reference(cloud, k).points)
+
     def test_starts_nearest_centroid(self):
         pts = np.array([[0.0, 0, 0], [10.0, 0, 0], [5.2, 0, 0], [4.0, 0, 0]])
         out = subsample(PointCloud(pts), 2)
@@ -206,6 +264,15 @@ class TestSubsample:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             subsample(PointCloud(np.zeros((3, 3))), 0)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 2.0, True, False, "2", None, np.float64(2.0)])
+    def test_rejects_malformed_n_points(self, bad):
+        with pytest.raises(ValueError, match="n_points"):
+            subsample(PointCloud(np.arange(30.0).reshape(10, 3)), bad)
+
+    def test_accepts_numpy_integer(self):
+        cloud = PointCloud(np.arange(30.0).reshape(10, 3))
+        assert np.array_equal(subsample(cloud, np.int64(4)).points, subsample(cloud, 4).points)
 
 
 class TestVoxelLattice:
