@@ -17,8 +17,13 @@ scenes labeled in ``perfbench/data/desk_train.jsonl`` with their stored gains.
 
 The ``clouds`` line before ``all`` hashes the surface clouds of those desk
 scenes, drawn as they were stored, and of two unseen desk scenes, drawn as
-``cfplan plan --infer`` draws them; it stays out of ``all`` so that ``all``
-compares with checkouts that print no ``clouds`` line.
+``cfplan plan --infer`` draws them.  The ``tuning`` line hashes every
+observation and the best value of ``bo_minimize`` runs on three cheap
+objectives over a 2-D box (the multimodal six-hump camel, a flat one whose
+ties shrink the trust region to its floor and give the GP constant data, and
+one that raises on half the box and so scores ``PENALTY``), plus one short
+``tune_scene`` of the obstruction scene.  Both lines stay out of ``all`` so
+that ``all`` compares with checkouts that print neither.
 """
 
 from __future__ import annotations
@@ -31,16 +36,20 @@ import numpy as np
 
 from cfplan import (
     AgentCostWeights,
+    BoResult,
+    BoundsBox,
     PlannerConfig,
     Scene,
     TrajectoryCostWeights,
     default_bounds,
     default_desk_randomizer,
+    bo_minimize,
     execute,
     obstruction_scene,
     randomize_scene,
     scene_surface_cloud,
     trajectory_cost,
+    tune_scene,
 )
 
 DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
@@ -50,6 +59,7 @@ CONFIGS = {
     "h30r7": dict(horizon=30, replan_every=7, max_steps=250, master_seed=3),
 }
 QUERY_SCENES = (3, 3173392)  # desk seeds no label uses
+CAMEL_BOX = BoundsBox(low=[-3.0, -2.0], high=[3.0, 2.0])
 
 
 def stored_labels() -> list[dict]:
@@ -115,6 +125,50 @@ def clouds_digest() -> str:
     return h.hexdigest()
 
 
+def six_hump_camel(x: np.ndarray) -> float:
+    """Six local minima, two of them global (about -1.0316)."""
+    a, b = float(x[0]), float(x[1])
+    return (4.0 - 2.1 * a * a + a**4 / 3.0) * a * a + a * b + (4.0 * b * b - 4.0) * b * b
+
+
+def flat(x: np.ndarray) -> float:
+    return 1.0
+
+
+def camel_left_half(x: np.ndarray) -> float:
+    if x[0] > 0.0:
+        raise RuntimeError("right half of the box fails")
+    return six_hump_camel(x)
+
+
+def hash_bo(h, result: BoResult) -> None:
+    for x, y in result.observations:
+        h.update(x.tobytes())
+        h.update(np.float64(y).tobytes())
+    h.update(result.best_p.tobytes())
+    h.update(np.float64(result.best_y).tobytes())
+
+
+def tuning_digest() -> str:
+    h = hashlib.sha256()
+    for seed in range(3):
+        hash_bo(h, bo_minimize(six_hump_camel, CAMEL_BOX, 8, 48, seed))
+    for objective in (flat, camel_left_half):
+        hash_bo(h, bo_minimize(objective, CAMEL_BOX, 8, 48, 0))
+    tuned, final = tune_scene(
+        obstruction_scene(),
+        PlannerConfig(**CONFIGS["h20r20"]),
+        AgentCostWeights(),
+        TrajectoryCostWeights(),
+        n_init=4,
+        n_iter=4,
+        seed=0,
+    )
+    hash_bo(h, tuned)
+    h.update(final.trajectory.positions.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     total = hashlib.sha256()
     for name, scene, p, cfg in cases():
@@ -122,6 +176,7 @@ def main() -> int:
         total.update(hexdigest.encode())
         print(f"{name:34s} {summary:26s} {hexdigest[:16]}", flush=True)
     print(f"clouds {clouds_digest()}")
+    print(f"tuning {tuning_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 
