@@ -12,19 +12,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from cfplan import (
     AgentCostWeights,
     PlannerConfig,
-    Scene,
-    SphereObstacle,
     TrajectoryCostWeights,
-    WorkspaceBounds,
-    bo_minimize,
-    default_bounds,
-    execute,
-    trajectory_cost,
+    obstruction_scene,
+    tune_scene,
 )
 from cfplan.io import save_params, save_trajectory_csv
 from cfplan.plot import save_plan_svg
@@ -40,26 +33,18 @@ def main() -> int:
     ap.add_argument("--params", default=None, help="optional tuned-parameter JSON output")
     args = ap.parse_args()
 
-    start = np.array([-0.4, 0.0, 0.5])
-    goal = np.array([0.4, 0.0, 0.5])
-    scene = Scene(
-        obstacles=[SphereObstacle(center=(start + goal) / 2.0, radius=0.15)],
-        start=start,
-        goal=goal,
-        workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
-    )
+    scene = obstruction_scene()
     cfg = PlannerConfig(horizon=20, replan_every=20, max_steps=600)
-    agent_w = AgentCostWeights()
-    traj_w = TrajectoryCostWeights()
-
-    def objective(p: np.ndarray) -> float:
-        return trajectory_cost(execute(scene, p, cfg, agent_w).trajectory, scene, traj_w)
-
     print("tuning...", file=sys.stderr)
-    tuned = bo_minimize(
-        objective, default_bounds(cfg.n_agents), n_init=args.init, n_iter=args.iters, seed=args.seed
+    tuned, result = tune_scene(
+        scene,
+        cfg,
+        AgentCostWeights(),
+        TrajectoryCostWeights(),
+        n_init=args.init,
+        n_iter=args.iters,
+        seed=args.seed,
     )
-    result = execute(scene, tuned.best_p, cfg, agent_w)
     save_trajectory_csv(result.trajectory, args.traj)
     save_plan_svg(scene, result.trajectory, args.plot)
     if args.params:

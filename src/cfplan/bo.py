@@ -7,8 +7,8 @@ improvement, and a lower confidence bound).  Instead of committing to one of
 them, the next evaluation point is drawn uniformly from the non-dominated set
 of the three scores, which keeps exploration alive when any single criterion
 collapses.  A trust region around the incumbent halves after every
-``patience`` consecutive non-improving evaluations and snaps back to the full
-box on improvement.
+``PATIENCE`` consecutive non-improving evaluations, down to ``TR_FLOOR`` of
+the box, and snaps back to the full box on improvement.
 
 Objective failures (exceptions, non-finite values) score a large finite
 penalty, so crashed evaluations stay informative instead of aborting the run.
@@ -27,6 +27,10 @@ from .gp import GpModel, gp_fit, gp_predict_batch
 from .params import BoundsBox
 
 PENALTY = 1e9
+N_SOBOL, N_PERTURB = 2048, 256  # acquire's pool: Sobol points, incumbent perturbations
+KAPPA = 2.0  # exploration weight of the lower confidence bound mu - KAPPA * sd
+PATIENCE, TR_FLOOR = 5, 1.0 / 64.0  # see the module docstring
+PARETO_CHUNK = 512  # rows per block of pareto_non_dominated's quadratic pass
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -51,7 +55,7 @@ def _dominated_by(objs: np.ndarray, row: np.ndarray) -> np.ndarray:
     return (objs >= row).all(axis=1) & (objs > row).any(axis=1)
 
 
-def pareto_non_dominated(objectives: np.ndarray, chunk: int = 512) -> np.ndarray:
+def pareto_non_dominated(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not dominated by any other row (minimization).
 
     Rows dominated by a per-objective lexicographic minimum (itself always
@@ -70,8 +74,8 @@ def pareto_non_dominated(objectives: np.ndarray, chunk: int = 512) -> np.ndarray
     sub = objs[idx]
     m = sub.shape[0]
     keep = np.ones(m, dtype=bool)
-    for s in range(0, m, chunk):
-        block = sub[s : s + chunk]
+    for s in range(0, m, PARETO_CHUNK):
+        block = sub[s : s + PARETO_CHUNK]
         le = np.ones((block.shape[0], m), dtype=bool)
         lt = np.zeros((block.shape[0], m), dtype=bool)
         for j in range(k):
@@ -79,7 +83,7 @@ def pareto_non_dominated(objectives: np.ndarray, chunk: int = 512) -> np.ndarray
             bc = block[:, j][:, None]
             le &= col[None, :] <= bc
             lt |= col[None, :] < bc
-        keep[s : s + chunk] = ~(le & lt).any(axis=1)
+        keep[s : s + PARETO_CHUNK] = ~(le & lt).any(axis=1)
     mask = np.zeros(n, dtype=bool)
     mask[idx[keep]] = True
     return mask
@@ -90,9 +94,6 @@ def acquire(
     bounds: BoundsBox,
     rng: np.random.Generator,
     tr_scale: float = 1.0,
-    n_sobol: int = 2048,
-    n_perturb: int = 256,
-    kappa: float = 2.0,
 ) -> np.ndarray:
     """Pick the next evaluation point from a Sobol pool in the trust region
     plus Gaussian perturbations of the incumbent, via a uniform draw from the
@@ -104,8 +105,8 @@ def acquire(
     else:
         lo = np.maximum(bounds.low, x_best - 0.5 * tr_scale * widths)
         hi = np.minimum(bounds.high, x_best + 0.5 * tr_scale * widths)
-    pool = _sobol_points(rng, n_sobol, lo, hi)
-    jitter = x_best + rng.normal(0.0, 0.1 * widths, size=(n_perturb, widths.shape[0]))
+    pool = _sobol_points(rng, N_SOBOL, lo, hi)
+    jitter = x_best + rng.normal(0.0, 0.1 * widths, size=(N_PERTURB, widths.shape[0]))
     cands = np.vstack([pool, np.clip(jitter, bounds.low, bounds.high)])
 
     mu, sd = gp_predict_batch(model, cands)
@@ -115,7 +116,7 @@ def acquire(
         big_phi = ndtr(z)
         small_phi = np.exp(-0.5 * z * z) / _SQRT_2PI
         ei = (y_best - mu) * big_phi + sd * small_phi
-        objs = np.column_stack([-ei, -big_phi, mu - kappa * sd])
+        objs = np.column_stack([-ei, -big_phi, mu - KAPPA * sd])
     objs = np.nan_to_num(objs, nan=0.0, posinf=1e30, neginf=-1e30)
     front = np.flatnonzero(pareto_non_dominated(objs))
     return cands[int(rng.choice(front))]
@@ -132,12 +133,9 @@ def _evaluate(objective, x: np.ndarray) -> float:
 def bo_minimize(
     objective,
     bounds: BoundsBox,
-    n_init: int = 8,
-    n_iter: int = 48,
+    n_init: int,
+    n_iter: int,
     seed: int = 0,
-    *,
-    patience: int = 5,
-    tr_floor: float = 1.0 / 64.0,
 ) -> BoResult:
     """Minimize ``objective`` with ``n_init`` Sobol evaluations followed by
     ``n_iter`` surrogate-guided ones.  Deterministic given ``seed``."""
@@ -168,6 +166,6 @@ def bo_minimize(
             tr_scale = 1.0
         else:
             fails += 1
-            if fails % patience == 0:
-                tr_scale = max(0.5 * tr_scale, tr_floor)
+            if fails % PATIENCE == 0:
+                tr_scale = max(0.5 * tr_scale, TR_FLOOR)
     return BoResult(best_p=best_p, best_y=best_y, observations=observations)

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cost import AgentCostWeights, TrajectoryCostWeights
+from .io import check_json_numbers, json_integer
 from .params import BoundsBox, default_bounds
 from .planner import PlannerConfig
 from .scene import (
@@ -48,14 +48,6 @@ def default_run_config() -> RunConfig:
     )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` when it is an integer; ValueError for anything else, bools
-    and integral floats included (``int()`` would truncate 8.7 to 8)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_keys(section: str, data: dict, allowed) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
@@ -76,15 +68,12 @@ def _planner_from_dict(data: dict) -> PlannerConfig:
 
 
 def _bounds_from_dict(data: dict, n_agents: int) -> BoundsBox:
+    check_json_numbers("bounds", data)
     if "low" in data or "high" in data:
         _check_keys("bounds", data, ("low", "high"))
         return BoundsBox(data["low"], data["high"])
     _check_keys("bounds", data, ("gain_high", "r_d_range"))
-    return default_bounds(
-        n_agents,
-        gain_high=float(data.get("gain_high", 200.0)),
-        r_d_range=tuple(data.get("r_d_range", (0.05, 1.0))),
-    )
+    return default_bounds(n_agents, **data)
 
 
 def _shape_from_dict(data: dict):
@@ -151,9 +140,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         ),
         bounds=_bounds_from_dict(data.get("bounds", {}), planner.n_agents),
         randomizer=_randomizer_from_dict(data.get("randomizer", {})),
-        n_init=_integer("tuner.n_init", tuner.get("n_init", 8)),
-        n_iter=_integer("tuner.n_iter", tuner.get("n_iter", 48)),
-        knn_k=_integer("knn_k", data.get("knn_k", 3)),
+        n_init=json_integer("tuner.n_init", tuner.get("n_init", RunConfig.n_init)),
+        n_iter=json_integer("tuner.n_iter", tuner.get("n_iter", RunConfig.n_iter)),
+        knn_k=json_integer("knn_k", data.get("knn_k", RunConfig.knn_k)),
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .scene import Scene, WorkspaceBounds
 
 D_CLAMP = 1e-6
+CLEARANCE_CHUNK = 64  # rows per surface_clearances block: bounds its (rows, n, 3) temporary
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class TrajectoryCostWeights:
 
 
 def surface_clearances(
-    positions: np.ndarray, centers: np.ndarray, radii: np.ndarray, chunk: int = 64
+    positions: np.ndarray, centers: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
     """Per-row minimum surface distance to any sphere; empty scenes yield +inf."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -47,10 +48,10 @@ def surface_clearances(
     if centers.shape[0] == 0:
         return np.full(s, np.inf)
     out = np.empty(s)
-    for i in range(0, s, chunk):
-        block = positions[i : i + chunk]
+    for i in range(0, s, CLEARANCE_CHUNK):
+        block = positions[i : i + CLEARANCE_CHUNK]
         d = np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=2) - radii
-        out[i : i + chunk] = d.min(axis=1)
+        out[i : i + CLEARANCE_CHUNK] = d.min(axis=1)
     return out
 
 
@@ -68,20 +69,19 @@ def _path_length(positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
 
 
-def agent_cost(traj, scene: Scene, weights: AgentCostWeights, goal=None) -> float:
-    """Rollout score: path length + final goal distance + an inverse-clearance
-    penalty + squared workspace violations.
+def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
+    """Rollout score: path length + final distance to ``scene.goal`` + an
+    inverse-clearance penalty + squared workspace violations.
 
     The clearance and workspace terms skip the first sample (the shared start
     state of all candidate rollouts).  The clearance term uses the single
     closest approach over all later samples and obstacles and vanishes when
-    the scene has no obstacles.  ``goal`` overrides ``scene.goal``.
+    the scene has no obstacles.
     """
     pos = traj.positions
     centers, radii = scene.centers, scene.radii
-    target = scene.goal if goal is None else np.asarray(goal, dtype=float)
     c = weights.path_length * _path_length(pos)
-    c += weights.goal_distance * float(np.linalg.norm(target - pos[-1]))
+    c += weights.goal_distance * float(np.linalg.norm(scene.goal - pos[-1]))
     if centers.shape[0] > 0 and pos.shape[0] >= 2:
         d_min = float(surface_clearances(pos[1:], centers, radii).min())
         c += weights.obstacle / max(d_min, D_CLAMP)
@@ -90,22 +90,19 @@ def agent_cost(traj, scene: Scene, weights: AgentCostWeights, goal=None) -> floa
     return float(c)
 
 
-def trajectory_cost(
-    traj, scene: Scene, weights: TrajectoryCostWeights, goal=None
-) -> float:
+def trajectory_cost(traj, scene: Scene, weights: TrajectoryCostWeights) -> float:
     """Executed-trajectory score used as the tuning objective.
 
     With samples x_0..x_T the terms are the mean inverse clearance over
     x_1..x_T, the total path length, the squared second differences at the
     interior samples x_2..x_(T-1) summed and divided by T - 1 (zero for fewer
-    than three steps), and the final distance to the goal.  ``goal`` overrides ``scene.goal``.
+    than three steps), and the final distance to ``scene.goal``.
     """
     pos = traj.positions
     centers, radii = scene.centers, scene.radii
-    target = scene.goal if goal is None else np.asarray(goal, dtype=float)
     steps = pos.shape[0] - 1
     c = weights.path_length * _path_length(pos)
-    c += weights.goal_deviation * float(np.linalg.norm(pos[-1] - target))
+    c += weights.goal_deviation * float(np.linalg.norm(pos[-1] - scene.goal))
     if centers.shape[0] > 0 and steps >= 1:
         d = np.maximum(surface_clearances(pos[1:], centers, radii), D_CLAMP)
         c += weights.clearance * float((1.0 / d).mean())

@@ -11,7 +11,7 @@ detection shell: the force is zero whenever the distance from the agent to
 the obstacle *surface* exceeds ``r_d``.
 
 Goal attraction is a damped pull toward the goal, written in the cancelled
-form ``-k_v * v + vel_scale * k_p * (goal - x)`` so that it stays defined at
+form ``-k_v * v + k_p * (goal - x)`` so that it stays defined at
 ``k_v = 0``.  Repulsion uses the classic inverse-distance barrier, again gated
 on surface distance.  A manipulability term pulls along the most poorly
 actuated direction of an optional arm Jacobian.
@@ -45,27 +45,19 @@ class AgentKinematics:
 
 @dataclass(frozen=True)
 class GainSet:
-    """Per-agent steering gains.
-
-    ``vel_scale`` scales the desired velocity inside the attractive term and
-    ``manip_scale`` scales the manipulability pull; both default to 1.
-    """
+    """Per-agent steering gains."""
 
     k_p: float = 0.0
     k_v: float = 0.0
     k_cf: float = 0.0
     k_manip: float = 0.0
     k_r: float = 0.0
-    vel_scale: float = 1.0
-    manip_scale: float = 1.0
 
 
 def attractive_force(kin: AgentKinematics, goal, gains: GainSet) -> np.ndarray:
-    """Damped goal attraction: ``-k_v * v + vel_scale * k_p * (goal - x)``."""
+    """Damped goal attraction: ``-k_v * v + k_p * (goal - x)``."""
     goal = as_vec3(goal)
-    return -gains.k_v * kin.velocity + gains.vel_scale * gains.k_p * (
-        goal - kin.position
-    )
+    return -gains.k_v * kin.velocity + gains.k_p * (goal - kin.position)
 
 
 def circular_field_force(
@@ -105,7 +97,7 @@ def repulsive_force(
 
 
 def manipulability_force(jacobian: np.ndarray, gains: GainSet) -> np.ndarray:
-    """Pull of magnitude ``k_manip * manip_scale`` along the translational
+    """Pull of magnitude ``k_manip`` along the translational
     direction the arm actuates worst.
 
     That direction is the left singular vector of the smallest singular value
@@ -124,7 +116,7 @@ def manipulability_force(jacobian: np.ndarray, gains: GainSet) -> np.ndarray:
             if comp < 0.0:
                 w = -w
             break
-    return gains.k_manip * gains.manip_scale * w
+    return gains.k_manip * w
 
 
 def steering_force(

@@ -8,18 +8,43 @@
 - trajectory: CSV with a ``t,x,y,z,clearance`` header row
 - parameters: JSON array of floats
 
-Loaders validate and raise ValueError with the offending path in the message.
+Loaders validate and raise ValueError with the offending path in the message;
+a JSON number field rejects the strings, bools and nulls ``float()`` takes.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .planner import Trajectory
 from .scene import DepthImage, PointCloud, Scene, SphereObstacle, WorkspaceBounds, validate_scene
+
+
+def check_json_numbers(name: str, value) -> None:
+    """Raise ValueError unless every leaf of ``value``, through nested lists
+    and objects, is a number."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, dict):
+            items.extend(item.values())
+        elif isinstance(item, list):
+            if not set(map(type, item)) <= {int, float}:  # else all plain numbers
+                items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} must hold only numbers, got {item!r}")
+
+
+def json_integer(name: str, value) -> int:
+    """``value`` when it is an integer; ValueError for anything else, bools
+    and integral floats included (``int()`` would truncate 8.7 to 8)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -38,6 +63,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(data: dict) -> Scene:
     try:
+        for key in ("obstacles", "start", "goal", "workspace"):
+            check_json_numbers(key, data[key])
         scene = Scene(
             obstacles=tuple(
                 SphereObstacle(o["center"], o["radius"]) for o in data["obstacles"]
@@ -123,7 +150,8 @@ def save_params(p: np.ndarray, path) -> None:
 def load_params(path) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        check_json_numbers("parameters", data)
+    except ValueError as exc:  # json.JSONDecodeError included
         raise ValueError(f"{path}: {exc}") from exc
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
@@ -196,6 +224,8 @@ def load_depth_image(pgm_path, sidecar_path=None) -> DepthImage:
     sidecar_file = Path(sidecar_path) if sidecar_path is not None else _sidecar_path(path)
     try:
         meta = json.loads(sidecar_file.read_text(encoding="utf-8"))
+        for key in ("fx", "fy", "cx", "cy", "rotation", "translation"):
+            check_json_numbers(key, meta[key])
         return DepthImage(
             depths=mm.astype(float) / 1000.0,
             fx=float(meta["fx"]),
@@ -205,5 +235,5 @@ def load_depth_image(pgm_path, sidecar_path=None) -> DepthImage:
             rotation=np.asarray(meta["rotation"], dtype=float),
             translation=np.asarray(meta["translation"], dtype=float),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar_file}: bad depth sidecar: {exc}") from exc

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
+from .io import check_json_numbers, json_integer
 from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig, PlanResult, execute
 from .scene import (
@@ -77,8 +78,9 @@ def tune_scene(
     agent_weights: AgentCostWeights,
     traj_weights: TrajectoryCostWeights,
     bounds: BoundsBox | None = None,
-    n_init: int = 8,
-    n_iter: int = 48,
+    *,
+    n_init: int,
+    n_iter: int,
     seed: int = 0,
 ) -> tuple[BoResult, PlanResult]:
     """Minimize the trajectory cost of ``execute`` on one scene over the
@@ -92,7 +94,7 @@ def tune_scene(
         result = execute(scene, p, planner_cfg, agent_weights)
         return trajectory_cost(result.trajectory, scene, traj_weights)
 
-    tuned = bo_minimize(objective, bounds, n_init=n_init, n_iter=n_iter, seed=seed)
+    tuned = bo_minimize(objective, bounds, n_init, n_iter, seed)
     return tuned, execute(scene, tuned.best_p, planner_cfg, agent_weights)
 
 
@@ -115,8 +117,9 @@ def label_scene(
     agent_weights: AgentCostWeights,
     traj_weights: TrajectoryCostWeights,
     bounds: BoundsBox | None = None,
-    n_init: int = 8,
-    n_iter: int = 48,
+    *,
+    n_init: int,
+    n_iter: int,
     seed: int = 0,
 ) -> tuple[LabeledSample | None, str | None]:
     """Tune the parameter vector for one scene and package the result.
@@ -126,7 +129,8 @@ def label_scene(
     way.
     """
     tuned, final = tune_scene(
-        scene, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+        scene, planner_cfg, agent_weights, traj_weights, bounds,
+        n_init=n_init, n_iter=n_iter, seed=seed,
     )
     reason = rejection(final)
     if reason is not None:
@@ -161,8 +165,9 @@ def label_scene_set(
     traj_weights: TrajectoryCostWeights,
     out_path,
     bounds: BoundsBox | None = None,
-    n_init: int = 8,
-    n_iter: int = 48,
+    *,
+    n_init: int,
+    n_iter: int,
     on_scene=None,
 ) -> dict:
     """Label every scene in ``scenes``, write the successes to ``out_path``
@@ -187,7 +192,8 @@ def label_scene_set(
     for idx, (scene, scene_id, seed) in enumerate(zip(scenes, scene_ids, seeds)):
         t_scene = time.perf_counter()
         sample, reason = label_scene(
-            scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds, n_init, n_iter, seed
+            scene, scene_id, planner_cfg, agent_weights, traj_weights, bounds,
+            n_init=n_init, n_iter=n_iter, seed=seed,
         )
         if sample is not None:
             samples.append(sample)
@@ -221,8 +227,9 @@ def build_dataset(
     traj_weights: TrajectoryCostWeights,
     out_path,
     bounds: BoundsBox | None = None,
-    n_init: int = 8,
-    n_iter: int = 48,
+    *,
+    n_init: int,
+    n_iter: int,
     on_scene=None,
 ) -> dict:
     """Randomize ``n_scenes`` scenes (one per seed, see ``expand_seeds``),
@@ -257,11 +264,13 @@ def sample_to_dict(sample: LabeledSample) -> dict:
 
 
 def sample_from_dict(d: dict) -> LabeledSample:
+    for key in ("points", "p_star", "best_cost"):
+        check_json_numbers(key, d[key])
     points = np.asarray(d["points"], dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must be an (n, 3) list")
     return LabeledSample(
-        scene_id=int(d["scene_id"]),
+        scene_id=json_integer("scene_id", d["scene_id"]),
         points=points,
         p_star=np.asarray(d["p_star"], dtype=float),
         best_cost=float(d["best_cost"]),

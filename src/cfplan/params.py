@@ -107,7 +107,7 @@ def default_bounds(
     """Gains in [0, gain_high] and a detection radius in ``r_d_range``."""
     d = param_dim(n_agents)
     low = np.zeros(d)
-    high = np.full(d, gain_high)
+    high = np.full(d, float(gain_high))
     low[-1], high[-1] = r_d_range
     return BoundsBox(low, high)
 

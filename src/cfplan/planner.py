@@ -168,10 +168,10 @@ class _Committee:
     columns where they scale (A, 3) rows."""
 
     kinds: tuple[HeuristicKind, ...]
-    pull: np.ndarray  # (A, 1) vel_scale * k_p
+    k_p: np.ndarray  # (A, 1)
     k_v: np.ndarray  # (A, 1)
     k_cf: np.ndarray  # (A, 1)
-    manip: np.ndarray  # (A, 1) k_manip * manip_scale
+    k_manip: np.ndarray  # (A, 1)
     reach: np.ndarray  # (A, 1) r_d, or -inf when no obstacle force is on
     circling: np.ndarray  # (A,) k_cf != 0
     repelling: np.ndarray  # (A,) k_r != 0
@@ -189,10 +189,10 @@ class _Committee:
         r_d = np.array([a.r_d for a in agents])
         return cls(
             kinds=tuple(a.heuristic for a in agents),
-            pull=col([x.vel_scale * x.k_p for x in g]),
+            k_p=col([x.k_p for x in g]),
             k_v=col([x.k_v for x in g]),
             k_cf=k_cf[:, None],
-            manip=col([x.k_manip * x.manip_scale for x in g]),
+            k_manip=col([x.k_manip for x in g]),
             reach=np.where((k_cf != 0.0) | (k_r != 0.0), r_d, -np.inf)[:, None],
             circling=k_cf != 0.0,
             repelling=k_r != 0.0,
@@ -229,7 +229,7 @@ def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, mani
     over ``surf`` yields the (agent, obstacle) pairs as flat indices, agent
     by agent with obstacle index ascending.
     """
-    f = com.pull * (scene.goal - x) - com.k_v * v
+    f = com.k_p * (scene.goal - x) - com.k_v * v
     n_agents, n = surf.shape
     idx = (surf <= com.reach).ravel().nonzero()[0]
     if idx.size:
@@ -255,7 +255,7 @@ def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, mani
             )
             f = np.where(has, f + push, f)
     if manip_pull is not None:
-        f = f + com.manip * manip_pull
+        f = f + com.k_manip * manip_pull
     return f
 
 

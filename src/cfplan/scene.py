@@ -117,9 +117,9 @@ class WorkspaceBounds:
         if np.any(self.min >= self.max):
             raise ValueError("workspace min must be strictly below max per axis")
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         p = as_vec3(point)
-        return bool(np.all(p >= self.min + margin) and np.all(p <= self.max - margin))
+        return bool(np.all(p >= self.min) and np.all(p <= self.max))
 
     @property
     def widths(self) -> Vec3:

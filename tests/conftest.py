@@ -1,15 +1,25 @@
 """Shared fixtures: the midpoint-obstruction scene (``cfplan.obstruction_scene``,
-re-exported here), canonical parameter vectors, and a cheap planner
-configuration for benchmark-style tests."""
+re-exported here), canonical parameter vectors and scenes, a cheap planner
+configuration for benchmark-style tests, and brute-force cost oracles."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cfplan import PlannerConfig, Scene, WorkspaceBounds, obstruction_scene
-from cfplan.params import param_dim
+from cfplan import (
+    GainSet,
+    PlannerConfig,
+    Scene,
+    SphereObstacle,
+    WorkspaceBounds,
+    obstruction_scene,
+)
+from cfplan.cost import D_CLAMP
+from cfplan.params import join_params
 
 settings.register_profile(
     "suite",
@@ -34,11 +44,8 @@ def make_params(
     r_d: float = 0.0,
 ) -> np.ndarray:
     """Flat parameter vector with every agent sharing the same gains."""
-    p = np.zeros(param_dim(n_agents))
-    for block, value in enumerate((k_p, k_v, k_cf, k_manip, k_r)):
-        p[block * n_agents : (block + 1) * n_agents] = value
-    p[-1] = r_d
-    return p
+    gains = GainSet(k_p=k_p, k_v=k_v, k_cf=k_cf, k_manip=k_manip, k_r=k_r)
+    return join_params([gains] * n_agents, r_d)
 
 
 def untuned_baseline(n_agents: int = N_AGENTS) -> np.ndarray:
@@ -54,6 +61,55 @@ def empty_scene(goal=(0.3, 0.2, 0.6)) -> Scene:
         goal=np.asarray(goal, dtype=float),
         workspace=WorkspaceBounds((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)),
     )
+
+
+def easy_scene() -> Scene:
+    return Scene(
+        obstacles=(SphereObstacle(center=(0.0, 0.8, 0.5), radius=0.05),),
+        start=(0.0, 0.0, 0.5),
+        goal=(0.5, 0.0, 0.5),
+        workspace=WorkspaceBounds(min=(-1, -1, 0), max=(1, 1, 1)),
+    )
+
+
+def brute_agent_cost(traj, scene, w) -> float:
+    pos = traj.positions
+    total = 0.0
+    for a, b in zip(pos[:-1], pos[1:]):
+        total += w.path_length * math.dist(a, b)
+    total += w.goal_distance * math.dist(pos[-1], scene.goal)
+    if scene.obstacles and pos.shape[0] >= 2:
+        d_min = min(
+            math.dist(x, o.center) - o.radius for x in pos[1:] for o in scene.obstacles
+        )
+        total += w.obstacle / max(d_min, D_CLAMP)
+    for x in pos[1:]:
+        for k in range(3):
+            total += w.workspace * max(scene.workspace.min[k] - x[k], 0.0) ** 2
+            total += w.workspace * max(x[k] - scene.workspace.max[k], 0.0) ** 2
+    return total
+
+
+def brute_trajectory_cost(traj, scene, w) -> float:
+    pos = traj.positions
+    steps = pos.shape[0] - 1
+    total = w.goal_deviation * math.dist(pos[-1], scene.goal)
+    for a, b in zip(pos[:-1], pos[1:]):
+        total += w.path_length * math.dist(a, b)
+    if scene.obstacles and steps >= 1:
+        inv = [
+            1.0
+            / max(min(math.dist(x, o.center) - o.radius for o in scene.obstacles), D_CLAMP)
+            for x in pos[1:]
+        ]
+        total += w.clearance * sum(inv) / steps
+    if steps >= 3:
+        acc = 0.0
+        for t in range(2, steps):
+            second = pos[t + 1] - 2.0 * pos[t] + pos[t - 1]
+            acc += float(second @ second)
+        total += w.smoothness * acc / (steps - 1)
+    return total
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ import pytest
 
 from cfplan.bo import bo_minimize
 from cfplan.cost import (
-    D_CLAMP,
     AgentCostWeights,
     TrajectoryCostWeights,
     agent_cost,
@@ -46,7 +45,15 @@ from cfplan.scene import (
     scene_arrays,
 )
 from scipy.spatial.distance import cdist
-from tests.conftest import BENCH_CFG, empty_scene, make_params, obstruction_scene, untuned_baseline
+from tests.conftest import (
+    BENCH_CFG,
+    brute_agent_cost,
+    brute_trajectory_cost,
+    empty_scene,
+    make_params,
+    obstruction_scene,
+    untuned_baseline,
+)
 
 AGENT_W = AgentCostWeights()
 TRAJ_W = TrajectoryCostWeights()
@@ -190,46 +197,6 @@ def test_criterion_03_force_oracles():
     f = repulsive_force(kin, obstacle, k_r=1.0, r_d=0.4)
     assert rel_close(f, [62.5, 0.0, 0.0])
     print("criterion 3: tabulated force oracles matched to 1e-12")
-
-
-def brute_agent_cost(traj, scene, w) -> float:
-    pos = traj.positions
-    total = 0.0
-    for a, b in zip(pos[:-1], pos[1:]):
-        total += w.path_length * math.dist(a, b)
-    total += w.goal_distance * math.dist(pos[-1], scene.goal)
-    if scene.obstacles and pos.shape[0] >= 2:
-        d_min = min(
-            math.dist(x, o.center) - o.radius for x in pos[1:] for o in scene.obstacles
-        )
-        total += w.obstacle / max(d_min, D_CLAMP)
-    for x in pos[1:]:
-        for k in range(3):
-            total += w.workspace * max(scene.workspace.min[k] - x[k], 0.0) ** 2
-            total += w.workspace * max(x[k] - scene.workspace.max[k], 0.0) ** 2
-    return total
-
-
-def brute_trajectory_cost(traj, scene, w) -> float:
-    pos = traj.positions
-    steps = pos.shape[0] - 1
-    total = w.goal_deviation * math.dist(pos[-1], scene.goal)
-    for a, b in zip(pos[:-1], pos[1:]):
-        total += w.path_length * math.dist(a, b)
-    if scene.obstacles and steps >= 1:
-        inv = [
-            1.0
-            / max(min(math.dist(x, o.center) - o.radius for o in scene.obstacles), D_CLAMP)
-            for x in pos[1:]
-        ]
-        total += w.clearance * sum(inv) / steps
-    if steps >= 3:
-        acc = 0.0
-        for t in range(2, steps):
-            second = pos[t + 1] - 2.0 * pos[t] + pos[t - 1]
-            acc += float(second @ second)
-        total += w.smoothness * acc / (steps - 1)
-    return total
 
 
 def test_criterion_04_cost_oracle_equivalence():

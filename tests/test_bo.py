@@ -151,11 +151,16 @@ class TestPareto:
         assert np.array_equal(pareto_non_dominated(np.array([[1.0, 2.0]])), [True])
 
     def test_chunking_invisible(self):
+        # 600 mutually non-dominated points on x + y = 1 survive the champion
+        # prefilter, so the quadratic pass runs two blocks of PARETO_CHUNK = 512
         rng = np.random.default_rng(42)
-        objs = rng.normal(size=(300, 2))
-        a = pareto_non_dominated(objs, chunk=512)
-        b = pareto_non_dominated(objs, chunk=11)
-        assert np.array_equal(a, b)
+        x = rng.uniform(0.0, 1.0, 600)
+        front = np.column_stack([x, 1.0 - x])
+        dominated = front[:40] + rng.uniform(0.01, 0.1, (40, 2))
+        objs = rng.permutation(np.vstack([front, dominated]))
+        le = (objs[None, :, :] <= objs[:, None, :]).all(axis=2)
+        lt = (objs[None, :, :] < objs[:, None, :]).any(axis=2)
+        assert np.array_equal(pareto_non_dominated(objs), ~(le & lt).any(axis=1))
 
     def test_three_objectives(self):
         rng = np.random.default_rng(5)

@@ -12,17 +12,7 @@ from cfplan import io
 from cfplan.cli import main
 from cfplan.labeling import load_dataset
 from cfplan.params import param_dim
-from cfplan.scene import Scene, SphereObstacle, WorkspaceBounds
-from tests.conftest import make_params, untuned_baseline
-
-
-def easy_scene() -> Scene:
-    return Scene(
-        obstacles=(SphereObstacle(center=(0.0, 0.8, 0.5), radius=0.05),),
-        start=(0.0, 0.0, 0.5),
-        goal=(0.5, 0.0, 0.5),
-        workspace=WorkspaceBounds(min=(-1, -1, 0), max=(1, 1, 1)),
-    )
+from tests.conftest import easy_scene, make_params, untuned_baseline
 
 
 def narrow_bounds_json(n_agents: int = 7) -> dict:
@@ -252,6 +242,19 @@ class TestPlan:
         )
         assert code == 2
         assert "expected" in stderr
+
+    def test_non_number_params_are_usage_error(self, tmp_path, capsys, cheap_config):
+        scene_path = tmp_path / "scene.json"
+        io.save_scene(easy_scene(), scene_path)
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps(["10"] + [1.0] * (param_dim(7) - 2) + [True]))
+        code, stdout, stderr = run_cli(
+            capsys, "plan", "--scene", str(scene_path), "--params", str(params_path),
+            "--config", cheap_config,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "parameters must hold only numbers" in stderr
 
     @pytest.mark.parametrize(
         "section, key, value",

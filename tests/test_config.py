@@ -89,6 +89,24 @@ class TestBoundsSection:
         with pytest.raises(ValueError):
             run_config_from_dict({"bounds": {"low": [0.0], "gain_high": 5.0}})
 
+    def test_integer_shorthand(self):
+        cfg = run_config_from_dict({"bounds": {"gain_high": 50, "r_d_range": [0, 1]}})
+        assert cfg.bounds.high[0] == 50.0
+        assert (cfg.bounds.low[-1], cfg.bounds.high[-1]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"gain_high": "50"},
+            {"gain_high": True},
+            {"r_d_range": [0.1, None]},
+            {"low": [0.0] * 36, "high": [10.0] * 35 + ["0.9"]},
+        ],
+    )
+    def test_non_numbers_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds must hold only numbers"):
+            run_config_from_dict({"bounds": bounds})
+
 
 class TestRandomizerSection:
     def test_workspace_and_counts(self):

@@ -57,11 +57,6 @@ class TestAttractive:
         f = attractive_force(kin, (1.0, 0.0, 0.0), GainSet(k_p=3.0, k_v=0.0))
         assert rel_close(f, [3.0, 0.0, 0.0])
 
-    def test_vel_scale_factors_the_pull(self):
-        kin = AgentKinematics(position=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0))
-        g = GainSet(k_p=2.0, k_v=1.0, vel_scale=0.5)
-        assert rel_close(attractive_force(kin, (1.0, 0.0, 0.0), g), [1.0, 0.0, 0.0])
-
 
 class TestCircularField:
     OBS = SphereObstacle(center=(0.0, 0.1, 0.0), radius=0.05)
@@ -163,7 +158,7 @@ class TestManipulability:
 
     def test_scaling(self):
         j = np.diag([2.0, 1.0, 0.5])
-        f = manipulability_force(j, GainSet(k_manip=3.0, manip_scale=0.5))
+        f = manipulability_force(j, GainSet(k_manip=1.5))
         assert rel_close(f, [0.0, 0.0, 1.5])
 
     def test_wide_jacobian(self):

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ class TestSceneJson:
         path = tmp_path / "bad.json"
         path.write_text("not json at all{")
         with pytest.raises(ValueError, match=str(path)):
+            load_scene(path)
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("radius", True, "obstacles"),
+            ("center", ["0.1", 0.2, 0.3], "obstacles"),
+            ("start", [-0.4, "0", 0.5], "start"),
+            ("goal", [0.4, 0.1, None], "goal"),
+        ],
+    )
+    def test_load_rejects_non_numbers(self, tmp_path, field, value, where):
+        path = tmp_path / "bad.json"
+        d = scene_to_dict(demo_scene())
+        if field in ("radius", "center"):
+            d["obstacles"][0][field] = value
+        else:
+            d[field] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {where} must hold only numbers")):
             load_scene(path)
 
 
@@ -145,6 +166,13 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         path.write_text("oops")
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("bad", ['"10"', "true", "null"])
+    def test_rejects_non_numbers(self, tmp_path, bad):
+        path = tmp_path / "params.json"
+        path.write_text(f"[1.0, {bad}, 2.0]")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameters must hold only numbers")):
             load_params(path)
 
 
@@ -227,6 +255,16 @@ class TestDepthPgm:
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(ValueError):
+            load_depth_image(path)
+
+    @pytest.mark.parametrize("key, value", [("fx", "500"), ("cy", True), ("translation", [0, 0, "1"])])
+    def test_rejects_non_numbers_in_sidecar(self, tmp_path, key, value):
+        path = tmp_path / "depth.pgm"
+        save_depth_image(self.image(), path)
+        meta = json.loads((tmp_path / "depth.json").read_text())
+        meta[key] = value
+        (tmp_path / "depth.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"sidecar: {key} must hold only numbers"):
             load_depth_image(path)
 
     def test_rejects_bad_sidecar(self, tmp_path):

@@ -4,6 +4,7 @@ and end-to-end determinism on a miniature randomizer."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from cfplan.scene import (
     randomize_scene,
     scene_arrays,
 )
-from tests.conftest import empty_scene
+from tests.conftest import easy_scene, empty_scene
 
 STORED_DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 
@@ -68,15 +69,6 @@ def blind_bounds(n_agents: int = 7) -> BoundsBox:
     low, high = box.low.copy(), box.high.copy()
     low[-1], high[-1] = 0.0, 1e-6
     return BoundsBox(low, high)
-
-
-def easy_scene() -> Scene:
-    return Scene(
-        obstacles=(SphereObstacle(center=(0.0, 0.8, 0.5), radius=0.05),),
-        start=(0.0, 0.0, 0.5),
-        goal=(0.5, 0.0, 0.5),
-        workspace=WorkspaceBounds(min=(-1, -1, 0), max=(1, 1, 1)),
-    )
 
 
 class TestSurfaceCloud:
@@ -223,6 +215,24 @@ class TestSerialization:
         other = dict(good, p_star=[1.0] * 11)
         path.write_text("\n".join(json.dumps(r) for r in (good, good, other)) + "\n")
         with pytest.raises(ValueError, match="mixed.jsonl:3: p_star has 11 entries, the first 36"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("scene_id", 3.7, "scene_id must be an integer"),
+            ("scene_id", True, "scene_id must be an integer"),
+            ("best_cost", "1.25", "best_cost must hold only numbers"),
+            ("p_star", ["1.0"] * 36, "p_star must hold only numbers"),
+            ("points", [[0.0, 1.0, "2.0"]], "points must hold only numbers"),
+            ("points", [[0.0, False, 2.0]], "points must hold only numbers"),
+        ],
+    )
+    def test_load_rejects_non_numbers(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.jsonl"
+        good = sample_to_dict(self.sample())
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{key: value})) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad.jsonl:2: bad dataset record: {message}")):
             load_dataset(path)
 
     def test_load_stored_benchmark_dataset(self):
@@ -394,6 +404,8 @@ class TestLabelSceneSet:
                 agent_weights=AGENT_W,
                 traj_weights=TRAJ_W,
                 out_path=out,
+                n_init=2,
+                n_iter=0,
             )
         assert tuned == [] and not out.exists()
 
@@ -467,5 +479,5 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset(
                 0, 0, mini_randomizer(), CHEAP_CFG, AGENT_W, TRAJ_W,
-                tmp_path / "x.jsonl",
+                tmp_path / "x.jsonl", n_init=2, n_iter=0,
             )
