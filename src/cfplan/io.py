@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,10 @@ def check_json_numbers(name: str, value) -> None:
         if isinstance(item, dict):
             items.extend(item.values())
         elif isinstance(item, list):
-            if not set(map(type, item)) <= {int, float}:  # else all plain numbers
+            types = set(map(type, item))
+            if types == {list}:  # rows, such as a point cloud's: check their entries at once
+                items.append(list(chain.from_iterable(item)))
+            elif not types <= {int, float}:  # else all plain numbers
                 items.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{name} must hold only numbers, got {item!r}")
@@ -235,5 +239,5 @@ def load_depth_image(pgm_path, sidecar_path=None) -> DepthImage:
             rotation=np.asarray(meta["rotation"], dtype=float),
             translation=np.asarray(meta["translation"], dtype=float),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError included
         raise ValueError(f"{sidecar_file}: bad depth sidecar: {exc}") from exc

@@ -152,11 +152,12 @@ class TestPareto:
 
     def test_chunking_invisible(self):
         # 600 mutually non-dominated points on x + y = 1 survive the champion
-        # prefilter, so the quadratic pass runs two blocks of PARETO_CHUNK = 512
+        # prefilter, so the quadratic pass runs two blocks of PARETO_CHUNK = 512;
+        # each shifted copy is dominated only by its origin, often in the other block
         rng = np.random.default_rng(42)
         x = rng.uniform(0.0, 1.0, 600)
         front = np.column_stack([x, 1.0 - x])
-        dominated = front[:40] + rng.uniform(0.01, 0.1, (40, 2))
+        dominated = front[:40] + rng.uniform(1e-7, 1e-6, (40, 2))
         objs = rng.permutation(np.vstack([front, dominated]))
         le = (objs[None, :, :] <= objs[:, None, :]).all(axis=2)
         lt = (objs[None, :, :] < objs[:, None, :]).any(axis=2)
