@@ -22,8 +22,10 @@ observation and the best value of ``bo_minimize`` runs on three cheap
 objectives over a 2-D box (the multimodal six-hump camel, a flat one whose
 ties shrink the trust region to its floor and give the GP constant data, and
 one that raises on half the box and so scores ``PENALTY``), plus one short
-``tune_scene`` of the obstruction scene.  Both lines stay out of ``all`` so
-that ``all`` compares with checkouts that print neither.
+``tune_scene`` of the obstruction scene.  The ``scenes`` line hashes the
+centers, radii and goal of ``randomize_scene`` on desk seeds 0-39 and on the
+two unseen desk scenes.  These three lines stay out of ``all`` so that
+``all`` compares with checkouts that print none of them.
 """
 
 from __future__ import annotations
@@ -125,6 +127,16 @@ def clouds_digest() -> str:
     return h.hexdigest()
 
 
+def scenes_digest() -> str:
+    desk = default_desk_randomizer()
+    h = hashlib.sha256()
+    for scene_id in (*range(40), *QUERY_SCENES):
+        scene = randomize_scene(desk, scene_id)
+        for a in (scene.centers, scene.radii, scene.goal):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def six_hump_camel(x: np.ndarray) -> float:
     """Six local minima, two of them global (about -1.0316)."""
     a, b = float(x[0]), float(x[1])
@@ -177,6 +189,7 @@ def main() -> int:
         print(f"{name:34s} {summary:26s} {hexdigest[:16]}", flush=True)
     print(f"clouds {clouds_digest()}")
     print(f"tuning {tuning_digest()}")
+    print(f"scenes {scenes_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 
