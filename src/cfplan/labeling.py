@@ -50,25 +50,24 @@ def scene_surface_cloud(
 
     The raw draw allocates points per sphere proportional to its area at
     roughly SURFACE_DENSITY per square meter, with a floor that guarantees at
-    least ``n_points`` raw samples overall.
+    least ``n_points`` raw samples overall.  One normal draw, filled row by
+    row, gives each sphere the directions of one draw per sphere in order.
     """
     check_n_points(n_points)
     if not scene.obstacles:
         return PointCloud(np.zeros((0, 3)))
     rng = np.random.default_rng(seed)
-    radii = np.array([o.radius for o in scene.obstacles])
-    areas = 4.0 * np.pi * radii**2
+    areas = 4.0 * np.pi * scene.radii**2
     base = SURFACE_DENSITY * areas
     total = base.sum()
     if total < n_points:
         base *= 1.05 * n_points / total
     counts = np.ceil(base).astype(int)
-    chunks = []
-    for obstacle, count in zip(scene.obstacles, counts):
-        raw = rng.standard_normal((int(count), 3))
-        norms = np.maximum(np.linalg.norm(raw, axis=1), 1e-12)
-        chunks.append(obstacle.center + obstacle.radius * raw / norms[:, None])
-    cloud = PointCloud(np.vstack(chunks))
+    raw = rng.standard_normal((int(counts.sum()), 3))
+    norms = np.maximum(np.linalg.norm(raw, axis=1), 1e-12)
+    centers = np.repeat(scene.centers, counts, axis=0)
+    radii = np.repeat(scene.radii, counts)
+    cloud = PointCloud(centers + radii[:, None] * raw / norms[:, None])
     return subsample(cloud, n_points)
 
 

@@ -5,7 +5,8 @@ Everything downstream (force fields, rollouts, cost terms) consumes spheres
 only, so this module also owns the conversions that turn primitives, point
 clouds and depth images into sphere sets.  All conversions share one cubic
 lattice whose edge ``2*r/sqrt(3)`` makes a sphere of radius ``r`` circumscribe
-a cell, so occupied cells are covered without gaps.
+a cell, so occupied cells are covered without gaps; a randomized scene merges
+the cells of all its primitives before it builds one sphere per cell.
 """
 
 from __future__ import annotations
@@ -346,36 +347,30 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     return PointCloud(pts[chosen])
 
 
-def _cells_to_spheres(cells: np.ndarray, edge: float, voxel_radius: float) -> list[SphereObstacle]:
-    centers = (cells + 0.5) * edge
+def _cell_centers(cells: np.ndarray, edge: float) -> np.ndarray:
+    return (cells + 0.5) * edge
+
+
+def _cells_to_spheres(cells: np.ndarray, voxel_radius: float) -> list[SphereObstacle]:
+    centers = _cell_centers(cells, voxel_edge(voxel_radius))
     return [SphereObstacle(c, voxel_radius) for c in centers]
-
-
-def _dedupe_cells(cells: np.ndarray) -> np.ndarray:
-    if cells.shape[0] == 0:
-        return cells
-    return np.unique(cells, axis=0)
 
 
 def voxelize_point_cloud(cloud: PointCloud, voxel_radius: float) -> list[SphereObstacle]:
     """Mark every lattice cell containing at least one point and return one
     circumscribing sphere per occupied cell."""
-    edge = voxel_edge(voxel_radius)
-    if len(cloud) == 0:
-        return []
-    cells = np.floor(cloud.points / edge).astype(np.int64)
-    return _cells_to_spheres(_dedupe_cells(cells), edge, voxel_radius)
+    cells = np.floor(cloud.points / voxel_edge(voxel_radius)).astype(np.int64)
+    return _cells_to_spheres(np.unique(cells, axis=0), voxel_radius)
 
 
-def decompose_primitive(shape: PrimitiveShape, voxel_radius: float) -> list[SphereObstacle]:
-    """Cover a primitive with lattice spheres: keep every cell whose center is
-    within ``voxel_radius`` of the shape (signed distance <= voxel_radius).
+def _collapses(shape: PrimitiveShape, voxel_radius: float) -> bool:
+    """The small-sphere rule of ``decompose_primitive``."""
+    return isinstance(shape, SphereShape) and shape.radius <= voxel_radius
 
-    A sphere no larger than the voxel radius collapses to a single obstacle at
-    its own center instead of a lattice stairstep.
-    """
-    if isinstance(shape, SphereShape) and shape.radius <= voxel_radius:
-        return [SphereObstacle(shape.center, voxel_radius)]
+
+def _lattice_cells(shape: PrimitiveShape, voxel_radius: float) -> np.ndarray:
+    """Integer lattice cells, (k, 3), whose centers lie within
+    ``voxel_radius`` of the shape (signed distance <= voxel_radius)."""
     edge = voxel_edge(voxel_radius)
     lo, hi = _shape_aabb(shape)
     lo = lo - voxel_radius - edge
@@ -386,9 +381,20 @@ def decompose_primitive(shape: PrimitiveShape, voxel_radius: float) -> list[Sphe
     ]
     ii, jj, kk = np.meshgrid(*ranges, indexing="ij")
     cells = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    centers = (cells + 0.5) * edge
-    keep = signed_distance(shape, centers) <= voxel_radius
-    return _cells_to_spheres(cells[keep], edge, voxel_radius)
+    keep = signed_distance(shape, _cell_centers(cells, edge)) <= voxel_radius
+    return cells[keep]
+
+
+def decompose_primitive(shape: PrimitiveShape, voxel_radius: float) -> list[SphereObstacle]:
+    """Cover a primitive with lattice spheres: keep every cell whose center is
+    within ``voxel_radius`` of the shape (signed distance <= voxel_radius).
+
+    A sphere no larger than the voxel radius collapses to a single obstacle at
+    its own center instead of a lattice stairstep.
+    """
+    if _collapses(shape, voxel_radius):
+        return [SphereObstacle(shape.center, voxel_radius)]
+    return _cells_to_spheres(_lattice_cells(shape, voxel_radius), voxel_radius)
 
 
 def _shape_aabb(shape: PrimitiveShape) -> tuple[Vec3, Vec3]:
@@ -532,24 +538,18 @@ def sample_scene_shapes(
 
 def randomize_scene(cfg: SceneRandomizerConfig, seed: int) -> Scene:
     """Draw a goal and 5-10 floating primitives, decompose everything to
-    spheres, and return a validated scene.  Deterministic in ``seed``."""
+    spheres, and return a validated scene.  Deterministic in ``seed``.
+    Obstacles are one sphere per distinct lattice cell, in cell order, then
+    the collapsed small spheres in primitive order."""
     goal, floating = sample_scene_shapes(cfg, seed)
-    edge = voxel_edge(cfg.voxel_radius)
-    all_cells = []
-    for shape in (*cfg.fixed_shapes, *floating):
-        for obs in decompose_primitive(shape, cfg.voxel_radius):
-            if isinstance(shape, SphereShape) and shape.radius <= cfg.voxel_radius:
-                # the small-sphere shortcut is off-lattice; keep it verbatim
-                all_cells.append(("sphere", obs))
-            else:
-                all_cells.append(("cell", obs))
-    lattice = [o for tag, o in all_cells if tag == "cell"]
-    loose = [o for tag, o in all_cells if tag == "sphere"]
-    if lattice:
-        cells = np.floor(np.stack([o.center for o in lattice]) / edge).astype(np.int64)
-        lattice = _cells_to_spheres(_dedupe_cells(cells), edge, cfg.voxel_radius)
+    r = cfg.voxel_radius
+    shapes = (*cfg.fixed_shapes, *floating)
+    cells = [_lattice_cells(s, r) for s in shapes if not _collapses(s, r)]
+    cells = np.concatenate([np.empty((0, 3), dtype=np.int64), *cells])
+    lattice = _cells_to_spheres(np.unique(cells, axis=0), r)
+    collapsed = [SphereObstacle(s.center, r) for s in shapes if _collapses(s, r)]
     scene = Scene(
-        obstacles=tuple(lattice + loose),
+        obstacles=tuple(lattice + collapsed),
         start=cfg.start,
         goal=goal,
         workspace=cfg.workspace,

@@ -14,6 +14,7 @@ from cfplan import labeling
 from cfplan.cost import AgentCostWeights, TrajectoryCostWeights
 from cfplan.labeling import (
     CLOUD_SIZE,
+    SURFACE_DENSITY,
     LabeledSample,
     build_dataset,
     expand_seeds,
@@ -30,6 +31,7 @@ from cfplan.labeling import (
 from cfplan.params import BoundsBox, param_dim
 from cfplan.planner import PlannerConfig
 from cfplan.scene import (
+    PointCloud,
     Scene,
     SceneRandomizerConfig,
     SphereObstacle,
@@ -39,6 +41,7 @@ from cfplan.scene import (
     obstruction_scene,
     randomize_scene,
     scene_arrays,
+    subsample,
 )
 from tests.conftest import easy_scene, empty_scene
 
@@ -71,7 +74,57 @@ def blind_bounds(n_agents: int = 7) -> BoundsBox:
     return BoundsBox(low, high)
 
 
+def cloud_reference(scene: Scene, n_points: int, seed: int):
+    """The per-sphere loop ``scene_surface_cloud`` replaces by one draw:
+    each obstacle draws its own directions, in obstacle order."""
+    rng = np.random.default_rng(seed)
+    radii = np.array([o.radius for o in scene.obstacles])
+    base = SURFACE_DENSITY * 4.0 * np.pi * radii**2
+    total = base.sum()
+    if total < n_points:
+        base *= 1.05 * n_points / total
+    chunks = []
+    for obstacle, count in zip(scene.obstacles, np.ceil(base).astype(int)):
+        raw = rng.standard_normal((int(count), 3))
+        norms = np.maximum(np.linalg.norm(raw, axis=1), 1e-12)
+        chunks.append(obstacle.center + obstacle.radius * raw / norms[:, None])
+    return subsample(PointCloud(np.vstack(chunks)), n_points)
+
+
+def mixed_radii_scene(seed: int, n: int, r_low: float, r_high: float) -> Scene:
+    rng = np.random.default_rng(seed)
+    return Scene(
+        obstacles=tuple(
+            SphereObstacle(center=c, radius=r)
+            for c, r in zip(rng.uniform(-3.0, 3.0, size=(n, 3)), rng.uniform(r_low, r_high, size=n))
+        ),
+        start=(0.0, 0.0, 9.0),
+        goal=(0.0, 0.0, -9.0),
+        workspace=WorkspaceBounds(min=(-10, -10, -10), max=(10, 10, 10)),
+    )
+
+
 class TestSurfaceCloud:
+    # (n spheres, radius range, n_points): the first two draw fewer raw
+    # samples than n_points and take the floor, the last two do not
+    @pytest.mark.parametrize(
+        "n, r_low, r_high, n_points, floored",
+        [
+            (8, 0.01, 0.08, 500, True),
+            (3, 0.02, 0.3, 2500, True),
+            (6, 0.2, 0.6, 200, False),
+            (12, 0.05, 0.4, 300, False),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_sphere_reference(self, n, r_low, r_high, n_points, floored, seed):
+        scene = mixed_radii_scene(seed, n, r_low, r_high)
+        assert len(set(scene.radii)) == n
+        total = (SURFACE_DENSITY * 4.0 * np.pi * scene.radii**2).sum()
+        assert (total < n_points) == floored
+        cloud = scene_surface_cloud(scene, n_points=n_points, seed=seed)
+        assert np.array_equal(cloud.points, cloud_reference(scene, n_points, seed).points)
+
     def test_exact_count(self):
         cloud = scene_surface_cloud(easy_scene(), n_points=300)
         assert cloud.points.shape == (300, 3)

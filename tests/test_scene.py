@@ -351,7 +351,62 @@ class TestDecompose:
         assert np.allclose(frac, 0.5, atol=1e-9)
 
 
+def randomize_reference(cfg: SceneRandomizerConfig, seed: int) -> Scene:
+    """The object round trip ``randomize_scene`` replaces: decompose every
+    primitive to spheres, tag the collapsed small spheres, floor the lattice
+    centers back to their cells and build one sphere per distinct cell."""
+    goal, floating = sample_scene_shapes(cfg, seed)
+    r = cfg.voxel_radius
+    edge = voxel_edge(r)
+    lattice, loose = [], []
+    for shape in (*cfg.fixed_shapes, *floating):
+        small = isinstance(shape, SphereShape) and shape.radius <= r
+        (loose if small else lattice).extend(decompose_primitive(shape, r))
+    if lattice:
+        cells = np.floor(np.stack([o.center for o in lattice]) / edge).astype(np.int64)
+        centers = (np.unique(cells, axis=0) + 0.5) * edge
+        lattice = [SphereObstacle(c, r) for c in centers]
+    return Scene(tuple(lattice + loose), cfg.start, goal, cfg.workspace)
+
+
+def lone_shape_randomizer() -> SceneRandomizerConfig:
+    """One floating primitive and no furniture: a seed that draws a small
+    sphere makes a scene with no lattice cell at all."""
+    return SceneRandomizerConfig(
+        workspace=WorkspaceBounds((-0.85, -0.85, 0.0), (0.85, 0.85, 1.1)),
+        start=(-0.45, -0.35, 0.35),
+        goal_region=WorkspaceBounds((0.20, -0.30, 0.30), (0.60, 0.40, 0.75)),
+        min_count=1,
+        max_count=1,
+        sphere_radius_range=(0.02, 0.05),
+    )
+
+
+def assert_same_scene(a: Scene, b: Scene) -> None:
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.radii, b.radii)
+    assert np.array_equal(a.goal, b.goal)
+
+
 class TestRandomizer:
+    # seeds 2, 3, 12, 13 and 21 draw one or two collapsed small spheres
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 12, 13, 21, 2500001, 3173392])
+    def test_desk_matches_reference(self, seed):
+        cfg = default_desk_randomizer()
+        _, floating = sample_scene_shapes(cfg, seed)
+        small = sum(isinstance(s, SphereShape) and s.radius <= cfg.voxel_radius for s in floating)
+        assert (small > 0) == (seed in (2, 3, 12, 13, 21))
+        assert_same_scene(randomize_scene(cfg, seed), randomize_reference(cfg, seed))
+
+    def test_lone_shape_matches_reference(self):
+        cfg = lone_shape_randomizer()
+        sizes = set()
+        for seed in range(12):
+            scene = randomize_scene(cfg, seed)
+            assert_same_scene(scene, randomize_reference(cfg, seed))
+            sizes.add(len(scene.obstacles) > 1)
+        assert sizes == {False, True}  # collapsed-only and lattice-only scenes
+
     def test_deterministic(self):
         cfg = default_desk_randomizer()
         a = randomize_scene(cfg, seed=3)
