@@ -100,14 +100,6 @@ def _randomizer_from_dict(data: dict) -> SceneRandomizerConfig:
         data["goal_region"] = _workspace_from_dict(data["goal_region"])
     if "fixed_shapes" in data:
         data["fixed_shapes"] = tuple(_shape_from_dict(s) for s in data["fixed_shapes"])
-    for key in (
-        "sphere_radius_range",
-        "cuboid_half_range",
-        "cylinder_radius_range",
-        "cylinder_half_length_range",
-    ):
-        if key in data:
-            data[key] = tuple(data[key])
     return _merge_dataclass("randomizer", default_desk_randomizer(), data)
 
 

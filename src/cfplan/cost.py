@@ -13,14 +13,19 @@ finite costs instead of overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scene import Scene, WorkspaceBounds
+from .scene import Scene, WorkspaceBounds, finite_real
 
 D_CLAMP = 1e-6
 CLEARANCE_CHUNK = 64  # rows per surface_clearances block: bounds its (rows, n, 3) temporary
+
+
+def _check_weights(weights) -> None:
+    for field in fields(weights):
+        finite_real(f"{type(weights).__name__}.{field.name}", getattr(weights, field.name))
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,9 @@ class AgentCostWeights:
     obstacle: float = 0.5
     workspace: float = 10.0
 
+    def __post_init__(self):
+        _check_weights(self)
+
 
 @dataclass(frozen=True)
 class TrajectoryCostWeights:
@@ -37,6 +45,9 @@ class TrajectoryCostWeights:
     path_length: float = 0.3
     smoothness: float = 0.01
     goal_deviation: float = 10.0
+
+    def __post_init__(self):
+        _check_weights(self)
 
 
 def surface_clearances(

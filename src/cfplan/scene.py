@@ -34,6 +34,14 @@ def as_vec3(value) -> Vec3:
     return v
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a float when it is a finite real number; ValueError for
+    anything else, bools included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def voxel_edge(voxel_radius: float) -> float:
     """Lattice edge length for which a sphere of ``voxel_radius`` circumscribes a cell."""
     if voxel_radius <= 0.0:
@@ -79,7 +87,7 @@ class SphereShape:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", finite_real("sphere radius", self.radius))
         if self.radius <= 0.0:
             raise ValueError("sphere radius must be positive")
 
@@ -98,8 +106,10 @@ class Cylinder:
             raise ValueError("cylinder axis must be a unit vector")
         object.__setattr__(self, "center", as_vec3(self.center))
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "half_length", float(self.half_length))
+        object.__setattr__(self, "radius", finite_real("cylinder radius", self.radius))
+        object.__setattr__(
+            self, "half_length", finite_real("cylinder half_length", self.half_length)
+        )
         if self.radius <= 0.0 or self.half_length <= 0.0:
             raise ValueError("cylinder radius and half_length must be positive")
 
@@ -447,6 +457,22 @@ class SceneRandomizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "start", as_vec3(self.start))
         object.__setattr__(self, "fixed_shapes", tuple(self.fixed_shapes))
+        for name in ("min_count", "max_count", "max_rejections"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in (
+            "sphere_radius_range",
+            "cuboid_half_range",
+            "cylinder_radius_range",
+            "cylinder_half_length_range",
+        ):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair of numbers, got {pair!r}")
+            object.__setattr__(self, name, tuple(finite_real(name, v) for v in pair))
+        for name in ("min_clearance", "voxel_radius"):
+            finite_real(name, getattr(self, name))
         if not (0 < self.min_count <= self.max_count):
             raise ValueError("need 0 < min_count <= max_count")
 

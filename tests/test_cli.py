@@ -95,6 +95,52 @@ class TestGenScenes:
         assert code == 0
         assert json.loads(stdout)["files"] == []
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("min_count", "2", "min_count"),
+            ("max_count", 3.0, "max_count"),
+            ("max_rejections", True, "max_rejections"),
+            ("voxel_radius", float("nan"), "voxel_radius"),
+            ("min_clearance", float("inf"), "min_clearance"),
+            ("sphere_radius_range", [0.02, float("nan")], "sphere_radius_range"),
+            ("cuboid_half_range", 0.03, "cuboid_half_range"),
+            (
+                "fixed_shapes",
+                [{"kind": "sphere", "center": [0.0, 0.3, 0.5], "radius": float("nan")}],
+                "sphere radius",
+            ),
+            (
+                "fixed_shapes",
+                [
+                    {
+                        "kind": "cylinder",
+                        "center": [0.0, 0.3, 0.5],
+                        "axis": [0.0, 0.0, 1.0],
+                        "radius": 0.04,
+                        "half_length": float("inf"),
+                    }
+                ],
+                "cylinder half_length",
+            ),
+        ],
+    )
+    def test_malformed_randomizer_is_usage_error(
+        self, tmp_path, capsys, cheap_config, key, value, named
+    ):
+        config = json.loads(open(cheap_config, encoding="utf-8").read())
+        config["randomizer"][key] = value
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
+        code, stdout, stderr = run_cli(
+            capsys, "gen-scenes", "--count", "1",
+            "--out", str(tmp_path / "s"), "--config", str(config_path),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr and named in stderr
+        assert not (tmp_path / "s").exists()
+
     def test_negative_count_is_usage_error(self, tmp_path, capsys, cheap_config):
         code, stdout, stderr = run_cli(
             capsys, "gen-scenes", "--count", "-1",
@@ -272,6 +318,10 @@ class TestPlan:
             ("tuner", "n_init", 8.7),
             ("tuner", "n_iter", "0"),
             (None, "knn_k", 2.5),
+            ("agent_weights", "obstacle", "0.5"),
+            ("agent_weights", "workspace", float("inf")),
+            ("trajectory_weights", "clearance", True),
+            ("trajectory_weights", "smoothness", float("nan")),
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, section, key, value):

@@ -3,6 +3,7 @@ with brute-force reimplementations on random trajectories."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -159,6 +160,19 @@ class TestTrajectoryCost:
             0.01,
             10.0,
         )
+
+
+class TestWeights:
+    @pytest.mark.parametrize("cls", [AgentCostWeights, TrajectoryCostWeights])
+    @pytest.mark.parametrize("value", ["0.5", True, None, float("nan"), float("inf")])
+    def test_rejects_non_finite_reals(self, cls, value):
+        name = dataclasses.fields(cls)[1].name
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{name} must be a finite real"):
+            cls(**{name: value})
+
+    def test_integers_accepted(self):
+        assert AgentCostWeights(obstacle=2).obstacle == 2
+        assert TrajectoryCostWeights(clearance=0).clearance == 0
 
 
 class TestBruteForceAgreement:

@@ -3,6 +3,7 @@ primitive decomposition, and the desk randomizer."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -483,3 +484,35 @@ class TestValidation:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             SphereObstacle(center=(0, 0, 0), radius=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.1", 0.0, -0.1])
+    def test_primitive_sizes_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="sphere radius"):
+            SphereShape(center=(0, 0, 0), radius=bad)
+        with pytest.raises(ValueError, match="cylinder radius"):
+            Cylinder(center=(0, 0, 0), axis=(0, 0, 1), radius=bad, half_length=0.1)
+        with pytest.raises(ValueError, match="half_length"):
+            Cylinder(center=(0, 0, 0), axis=(0, 0, 1), radius=0.1, half_length=bad)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("min_count", 2.0),
+            ("max_count", "8"),
+            ("max_rejections", False),
+            ("min_clearance", float("nan")),
+            ("voxel_radius", float("inf")),
+            ("voxel_radius", "0.05"),
+            ("cylinder_radius_range", (0.03, float("inf"))),
+            ("cylinder_half_length_range", (0.1,)),
+            ("sphere_radius_range", None),
+        ],
+    )
+    def test_randomizer_rejects_malformed_settings(self, key, value):
+        cfg = default_desk_randomizer()
+        with pytest.raises(ValueError, match=key):
+            dataclasses.replace(cfg, **{key: value})
+
+    def test_randomizer_ranges_become_float_pairs(self):
+        cfg = dataclasses.replace(default_desk_randomizer(), sphere_radius_range=[0, 1])
+        assert cfg.sphere_radius_range == (0.0, 1.0)
