@@ -401,12 +401,12 @@ class TestRandomizer:
 
     def test_lone_shape_matches_reference(self):
         cfg = lone_shape_randomizer()
-        sizes = set()
+        kinds = set()
         for seed in range(12):
             scene = randomize_scene(cfg, seed)
             assert_same_scene(scene, randomize_reference(cfg, seed))
-            sizes.add(len(scene.obstacles) > 1)
-        assert sizes == {False, True}  # collapsed-only and lattice-only scenes
+            kinds.add("lattice" if len(scene.obstacles) > 1 else "collapsed")
+        assert kinds == {"collapsed", "lattice"}
 
     def test_deterministic(self):
         cfg = default_desk_randomizer()
