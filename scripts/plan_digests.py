@@ -24,8 +24,9 @@ ties shrink the trust region to its floor and give the GP constant data, and
 one that raises on half the box and so scores ``PENALTY``), plus one short
 ``tune_scene`` of the obstruction scene.  The ``scenes`` line hashes the
 centers, radii and goal of ``randomize_scene`` on desk seeds 0-39 and on the
-two unseen desk scenes.  These three lines stay out of ``all`` so that
-``all`` compares with checkouts that print none of them.
+two unseen desk scenes, and the ``nn`` line hashes ``Scene.nn_centers`` on
+the same scenes.  These four lines stay out of ``all`` so that ``all``
+compares with checkouts that print none of them.
 """
 
 from __future__ import annotations
@@ -137,6 +138,14 @@ def scenes_digest() -> str:
     return h.hexdigest()
 
 
+def nn_digest() -> str:
+    desk = default_desk_randomizer()
+    h = hashlib.sha256()
+    for scene_id in (*range(40), *QUERY_SCENES):
+        h.update(randomize_scene(desk, scene_id).nn_centers.tobytes())
+    return h.hexdigest()
+
+
 def six_hump_camel(x: np.ndarray) -> float:
     """Six local minima, two of them global (about -1.0316)."""
     a, b = float(x[0]), float(x[1])
@@ -190,6 +199,7 @@ def main() -> int:
     print(f"clouds {clouds_digest()}")
     print(f"tuning {tuning_digest()}")
     print(f"scenes {scenes_digest()}")
+    print(f"nn {nn_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 
