@@ -4,7 +4,9 @@
 scores a full executed trajectory and is the objective the tuner minimizes.
 Both recompute obstacle distances from the scene rather than trusting the
 clearance values stored on the trajectory, so they also score trajectories
-that were produced elsewhere.
+that were produced elsewhere.  ``agent_cost`` needs only the closest approach,
+so it scans just the obstacles of ``Scene.neighbour_list`` for the rollout's
+samples, which include one attaining each sample's minimum.
 
 Distances to obstacles are surface distances (negative inside a sphere) and
 are clamped at 1e-6 before entering any 1/d term, so collisions produce large
@@ -90,10 +92,11 @@ def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
     the scene has no obstacles.
     """
     pos = traj.positions
-    centers, radii = scene.centers, scene.radii
     c = weights.path_length * _path_length(pos)
     c += weights.goal_distance * float(np.linalg.norm(scene.goal - pos[-1]))
-    if centers.shape[0] > 0 and pos.shape[0] >= 2:
+    if scene.radii.shape[0] > 0 and pos.shape[0] >= 2:
+        near = scene.neighbour_list(pos[1:], 0.0)
+        centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
         d_min = float(surface_clearances(pos[1:], centers, radii).min())
         c += weights.obstacle / max(d_min, D_CLAMP)
     if pos.shape[0] >= 2:

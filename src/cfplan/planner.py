@@ -8,13 +8,21 @@ field until the next replan.  Integration is semi-implicit Euler with a hard
 speed cap.
 
 One lockstep kernel, ``_simulate``, does all simulation.  It advances an
-(A, 3) state for every agent at once: per step one (A, n) surface-distance
+(A, 3) state for every agent at once: per step one (A, m) surface-distance
 pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
 (``heuristics.batch_currents``, dispatching on each pair's heuristic), and
 per-agent sums of the obstacle forces.  ``rollout`` runs it with the agents
 ``plan_step`` is given, the executor's committed segment with A = 1.  Every
 agent's result is bitwise the one it would get alone: the kernel keeps each
 rounding step of the per-agent computation (see ``cfplan.vec3``).
+
+The m obstacles are a Verlet neighbour list.  The speed cap bounds how far
+any agent moves in a call (``n_steps * v_max * dt``), so one k-d tree ball
+query per call (``Scene.neighbour_list``) finds every obstacle whose surface
+can come within an agent's detection radius and every obstacle that can be
+nearest to a sample; the dense pass then runs over those alone.  They keep
+their ascending scene order, so pairs, sums and random draws follow the same
+order as a pass over the whole scene, and results are bitwise the same.
 
 Random-heuristic agents reseed their generator from
 ``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
@@ -220,16 +228,17 @@ def _subset(idx, agent, keep):
     return idx.take(sel), agent.take(sel)
 
 
-def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, manip_pull):
+def _forces(x, v, offsets, dist, surf, goal, nn, com: _Committee, rngs, manip_pull):
     """Steering force on every agent of the committee, (A, 3).
 
-    ``offsets`` (A, n, 3) holds x - center per obstacle, ``dist`` (A, n)
-    its norms and ``surf`` the surface distances.  An obstacle acts on an
-    agent when its surface lies within the agent's detection shell: one mask
-    over ``surf`` yields the (agent, obstacle) pairs as flat indices, agent
-    by agent with obstacle index ascending.
+    ``offsets`` (A, n, 3) holds x - center per listed obstacle, ``dist``
+    (A, n) its norms, ``surf`` the surface distances and ``nn`` (n, 3) the
+    center of each one's nearest other obstacle (None without one).  An
+    obstacle acts on an agent when its surface lies within the agent's
+    detection shell: one mask over ``surf`` yields the (agent, obstacle)
+    pairs as flat indices, agent by agent with obstacle index ascending.
     """
-    f = com.k_p * (scene.goal - x) - com.k_v * v
+    f = com.k_p * (goal - x) - com.k_v * v
     n_agents, n = surf.shape
     idx = (surf <= com.reach).ravel().nonzero()[0]
     if idx.size:
@@ -237,9 +246,8 @@ def _forces(x, v, offsets, dist, surf, scene: Scene, com: _Committee, rngs, mani
         flat = offsets.reshape(-1, 3)
         ci, ca = _subset(idx, agent, com.circling)
         if ci.size:
-            nn = scene.nn_centers
             currents = batch_currents(
-                com.kinds, ca, x, v, flat.take(ci, axis=0), dist.take(ci), scene.goal,
+                com.kinds, ca, x, v, flat.take(ci, axis=0), dist.take(ci), goal,
                 None if nn is None else nn.take(ci % n, axis=0), rngs,
             )
             cs, has = _agent_sums(n_agents, ca, currents)
@@ -276,10 +284,18 @@ def _simulate(
 
     Returns positions (A, k+1, 3) and per-sample clearances (A, k+1) from the
     start sample on, and the final (A, 3) velocities.
+
+    No agent travels farther than ``n_steps * v_max * dt``, so the obstacles
+    of ``scene.neighbour_list`` for that budget are the only ones that can
+    enter a shell or attain a clearance; every step scans just those.
     """
     pos = np.empty((x.shape[0], n_steps + 1, 3))
     clr = np.empty((x.shape[0], n_steps + 1))
-    centers, radii = scene.centers, scene.radii
+    near = scene.neighbour_list(x, n_steps * cfg.v_max * cfg.dt, float(com.reach.max()))
+    centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
+    nn = scene.nn_centers
+    if nn is not None:
+        nn = nn.take(near, axis=0)
     pull = cfg.manip_direction
     i = 0
     while True:
@@ -294,7 +310,7 @@ def _simulate(
             gap = scene.goal - x[0]
             if math.sqrt(float(gap @ gap)) <= stop_within:
                 return pos[:, : i + 1], clr[:, : i + 1], v
-        force = _forces(x, v, offsets, dist, surf, scene, com, rngs, pull)
+        force = _forces(x, v, offsets, dist, surf, scene.goal, nn, com, rngs, pull)
         x, v = _euler_step(x, v, force, cfg.mass, cfg.dt, cfg.v_max)
         i += 1
 

@@ -186,9 +186,9 @@ class DepthImage:
 class Scene:
     """Spherical obstacles, start, goal and workspace box.
 
-    The obstacle arrays the planner and the costs scan are computed on first
-    use and kept with the instance (read-only, since every caller shares
-    them).
+    The obstacle arrays and the k-d tree the planner and the costs use are
+    computed on first use and kept with the instance (read-only, since every
+    caller shares them).
     """
 
     obstacles: tuple[SphereObstacle, ...]
@@ -213,22 +213,66 @@ class Scene:
         return _read_only(np.array([o.radius for o in self.obstacles], dtype=float))
 
     @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over ``centers``."""
+        return cKDTree(self.centers)
+
+    @cached_property
     def nn_centers(self) -> np.ndarray | None:
         """Center of each obstacle's nearest other obstacle, (n, 3); None for
-        fewer than two obstacles.  Distance ties go to the lowest index."""
+        fewer than two obstacles.  Distance ties go to the lowest index.
+
+        The tree's second-nearest distance (the first is the obstacle itself
+        or a coincident one) bounds a ball query; its candidates are scored
+        with ``((a - b) ** 2).sum()`` and the lowest score, then the lowest
+        index, wins.
+        """
         centers = self.centers
         n = centers.shape[0]
         if n < 2:
             return None
-        chunk = 64  # bounds the (chunk, n, 3) difference block
-        nearest = np.empty(n, dtype=np.int64)
-        for s in range(0, n, chunk):
-            block = centers[s : s + chunk]
-            d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            rows = np.arange(block.shape[0])
-            d2[rows, s + rows] = np.inf
-            nearest[s : s + chunk] = d2.argmin(axis=1)
-        return _read_only(centers[nearest])
+        d_nn = self.tree.query(centers, k=2)[0][:, 1]
+        balls = self.tree.query_ball_point(centers, _slack(d_nn))
+        i = np.repeat(np.arange(n), [len(b) for b in balls])
+        j = np.fromiter((k for b in balls for k in b), dtype=np.intp, count=i.size)
+        other = i != j
+        i, j = i[other], j[other]
+        d2 = ((centers[i] - centers[j]) ** 2).sum(axis=1)
+        order = np.lexsort((j, d2, i))
+        i, j = i[order], j[order]
+        first = np.r_[True, i[1:] != i[:-1]]
+        return _read_only(centers[j[first]])
+
+    def neighbour_list(self, rows, travel: float, reach: float = -math.inf) -> np.ndarray:
+        """Indices, ascending, of every obstacle that points within
+        ``travel`` of any of the (k, 3) ``rows`` can touch: each obstacle
+        whose surface comes within ``reach`` of such a point, and each one
+        attaining such a point's minimum surface distance.
+
+        With ``x0 = rows[0]``, every such point lies within ``t = travel +
+        max |rows - x0|`` of ``x0``.  A surface within ``reach`` of it has
+        its center within ``reach + r_max + t`` of ``x0``.  The obstacle
+        whose center is nearest ``x0``, at ``d_nn``, has its surface within
+        ``d_nn + t - r_min`` of the point, so every minimizer's center lies
+        within ``d_nn + 2t + (r_max - r_min)`` of ``x0``.  One ball query
+        over the larger of the two radii keeps them all.
+        """
+        n = self.radii.shape[0]
+        if n == 0:
+            return np.empty(0, dtype=np.intp)
+        rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+        x0 = rows[0]
+        t = travel + float(np.sqrt(((rows - x0) ** 2).sum(axis=1)).max())
+        r_min, r_max = float(self.radii.min()), float(self.radii.max())
+        d_nn = float(self.tree.query(x0)[0])
+        radius = max(reach + r_max + t, d_nn + 2.0 * t + (r_max - r_min))
+        ball = self.tree.query_ball_point(x0, _slack(radius))
+        return np.sort(np.array(ball, dtype=np.intp))
+
+
+def _slack(radius):
+    """``radius`` widened to cover the tree's own rounding of distances."""
+    return radius * (1 + 1e-9) + 1e-12
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -350,8 +394,7 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     for i in range(1, n_points):
         nxt = int(np.argmax(dist))
         chosen[i] = nxt
-        # the margin covers the tree's own rounding of the distances
-        ball = tree.query_ball_point(pts[nxt], dist[nxt] * (1 + 1e-9) + 1e-12)
+        ball = tree.query_ball_point(pts[nxt], _slack(dist[nxt]))
         idx = np.array(ball, dtype=np.intp)
         dist[idx] = np.minimum(dist[idx], np.linalg.norm(pts[idx] - pts[nxt], axis=1))
     return PointCloud(pts[chosen])

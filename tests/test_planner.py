@@ -224,6 +224,21 @@ class TestLockstep:
             assert np.array_equal(traj.positions, alone.positions)
             assert np.array_equal(traj.clearances, alone.clearances)
 
+    def test_far_apart_agents_equal_single_agent_rollouts(self):
+        # agents spread over a desk scene share one neighbour list, widened by
+        # their spread, and each still gets its own A = 1 rollout byte for byte
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        cfg = PlannerConfig(horizon=20, master_seed=4, jacobian=JACOBIAN)
+        agents = spread_agents(LOCKSTEP_P, cfg, (0.0, 0.0, 0.55), seed=5, spread=0.5)
+        x = np.stack([a.state.position for a in agents])
+        budget = (cfg.horizon * cfg.v_max * cfg.dt, agents[0].r_d)
+        shared = scene.neighbour_list(x, *budget).size
+        assert all(scene.neighbour_list(row[None], *budget).size < shared for row in x)
+        for agent, traj in zip(agents, rollout(agents, scene, cfg)):
+            alone = rollout([agent], scene, cfg)[0]
+            assert traj.positions.tobytes() == alone.positions.tobytes()
+            assert traj.clearances.tobytes() == alone.clearances.tobytes()
+
     @pytest.mark.parametrize("which", ["obstruction", "clutter"])
     def test_forces_match_scalar_oracle(self, which):
         # one lockstep force evaluation against fields.steering_force with
@@ -245,7 +260,8 @@ class TestLockstep:
         assert np.all(np.any(surf <= agents[0].r_d, axis=1))  # every agent steers
         rngs = [planner._rollout_rng(cfg, a) for a in agents]
         force = planner._forces(
-            x, v, offsets, dist, surf, scene, planner._Committee.of(agents), rngs,
+            x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
+            planner._Committee.of(agents), rngs,
             cfg.manip_direction,
         )
         obstacles = scene.obstacles

@@ -35,6 +35,7 @@ from cfplan.scene import (
     voxel_edge,
     voxelize_point_cloud,
 )
+from cfplan.vec3 import norms
 
 IDENTITY_CAM = dict(
     fx=500.0, fy=500.0, cx=320.0, cy=240.0, rotation=np.eye(3), translation=(0, 0, 0)
@@ -107,7 +108,41 @@ class TestMinSurfaceDistance:
         assert min_surface_distance((0.25, 0, 0), centers, radii) == pytest.approx(-0.75)
 
 
+def nn_reference(centers: np.ndarray) -> np.ndarray:
+    """The chunked O(n^2) search ``Scene.nn_centers`` replaces: every
+    center's squared distance to every other, lowest index on ties."""
+    n = centers.shape[0]
+    chunk = 64  # bounds the (chunk, n, 3) difference block
+    nearest = np.empty(n, dtype=np.int64)
+    for s in range(0, n, chunk):
+        block = centers[s : s + chunk]
+        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        rows = np.arange(block.shape[0])
+        d2[rows, s + rows] = np.inf
+        nearest[s : s + chunk] = d2.argmin(axis=1)
+    return centers[nearest]
+
+
+def spheres_scene(centers, radii) -> Scene:
+    return Scene(
+        obstacles=[SphereObstacle(c, r) for c, r in zip(centers, radii)],
+        start=(9.0, 9.0, 9.0),
+        goal=(9.5, 9.0, 9.0),
+        workspace=WorkspaceBounds(min=(-10, -10, -10), max=(10, 10, 10)),
+    )
+
+
 class TestSceneArrays:
+    @pytest.mark.parametrize("seed", [0, 3173392])
+    def test_desk_nn_centers_match_reference(self, seed):
+        scene = randomize_scene(default_desk_randomizer(), seed)
+        assert np.array_equal(scene.nn_centers, nn_reference(scene.centers))
+
+    def test_nn_centers_with_coincident_centers(self):
+        centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
+        scene = spheres_scene(centers, [0.1] * 5)
+        assert np.array_equal(scene.nn_centers, nn_reference(centers))
+
     def test_nn_centers_match_brute_force_with_ties(self):
         # lattice spacing 0.25 makes the squared distances exact, so most
         # spheres have several equally near neighbours; the lowest index wins
@@ -143,6 +178,68 @@ class TestSceneArrays:
         assert scene.nn_centers is None
         with pytest.raises(ValueError):
             centers[0, 0] = 1.0
+
+
+@st.composite
+def neighbour_cases(draw):
+    """A scene, rows, a travel budget and a reach.  Lattice centers at a
+    spacing of 0.25 give exact distance ties; some rows sit exactly on
+    centers, and the rows may start far apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        cells = rng.choice(6**3, size=min(n, 6**3), replace=False)
+        centers = 0.25 * np.stack(np.unravel_index(cells, (6, 6, 6)), axis=1).astype(float)
+    else:
+        centers = rng.uniform(0.0, 1.5, size=(n, 3))
+    radii = rng.choice([0.05, 0.1, 0.2], size=centers.shape[0])
+    if draw(st.booleans()):
+        radii = np.full(centers.shape[0], 0.1)
+    k = draw(st.integers(1, 4))
+    rows = rng.uniform(-0.2, 1.7, size=(k, 3))
+    on_center = rng.random(k) < 0.4
+    rows[on_center] = centers[rng.integers(0, centers.shape[0], size=on_center.sum())]
+    travel = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    reach = draw(st.sampled_from([-math.inf, 0.0, 0.05, 0.3]))
+    return spheres_scene(centers, radii), rows, travel, reach, rng
+
+
+class TestNeighbourList:
+    @given(neighbour_cases())
+    @settings(max_examples=150)
+    def test_list_holds_every_minimizer_and_shell_pair(self, case):
+        scene, rows, travel, reach, rng = case
+        near = scene.neighbour_list(rows, travel, reach)
+        assert np.all(np.diff(near) > 0)
+        listed = np.zeros(scene.radii.shape[0], dtype=bool)
+        listed[near] = True
+        # points up to ``travel`` from every row, the rows themselves included
+        step = rng.standard_normal((rows.shape[0], 30, 3))
+        step *= travel * rng.random((rows.shape[0], 30, 1)) / norms(step)[..., None]
+        points = np.concatenate([rows, (rows[:, None, :] + step).reshape(-1, 3)])
+        surf = norms(points[:, None, :] - scene.centers) - scene.radii
+        assert np.all(listed[(surf == surf.min(axis=1, keepdims=True)).any(axis=0)])
+        assert np.all(listed[(surf <= reach).any(axis=0)])
+
+    def test_larger_sphere_behind_the_nearest_center(self):
+        # the nearest center (1.0 m) belongs to a small sphere; the large one
+        # farther out (1.3 m) has the nearest surface
+        scene = spheres_scene([(1.0, 0, 0), (0, 1.3, 0), (0, 0, 3.0)], [0.05, 0.5, 0.5])
+        assert scene.neighbour_list(np.zeros((1, 3)), 0.0).tolist() == [0, 1]
+
+    def test_one_sphere(self):
+        scene = spheres_scene([(0.0, 0.0, 0.0)], [0.1])
+        assert scene.neighbour_list(np.array([[5.0, 0, 0]]), 0.0).tolist() == [0]
+
+    def test_empty_scene(self):
+        scene = spheres_scene([], [])
+        assert scene.neighbour_list(np.zeros((2, 3)), 1.0, 0.3).size == 0
+
+    def test_desk_list_is_short(self):
+        # a 20-step rollout at 1 m/s lists a small share of a desk scene
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        near = scene.neighbour_list(scene.start[None], 0.2, 0.3)
+        assert 0 < near.size < scene.radii.shape[0] // 4
 
 
 class TestDepthToCloud:
