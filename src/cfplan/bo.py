@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .gp import GpModel, gp_fit, gp_predict_batch
 from .params import BoundsBox
@@ -43,6 +42,10 @@ class BoResult:
 
 
 def _sobol_points(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # imported here: scipy.stats costs most of the package's import time and
+    # memory, and planning with given or inferred gains never tunes
+    from scipy.stats import qmc
+
     engine = qmc.Sobol(d=lo.shape[0], scramble=True, seed=int(rng.integers(0, 2**31 - 1)))
     with warnings.catch_warnings():
         # drawing a non power-of-two count is fine here, balance is not needed
