@@ -76,15 +76,26 @@ def _bounds_from_dict(data: dict, n_agents: int) -> BoundsBox:
     return default_bounds(n_agents, **data)
 
 
+#: constructor and its arguments, in order, for each fixed shape kind
+_SHAPES = {
+    "cuboid": (Cuboid, ("center", "half_extents")),
+    "sphere": (SphereShape, ("center", "radius")),
+    "cylinder": (Cylinder, ("center", "axis", "radius", "half_length")),
+}
+
+
 def _shape_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"each of fixed_shapes must be a JSON object, got {data!r}")
     kind = data.get("kind")
-    if kind == "cuboid":
-        return Cuboid(data["center"], data["half_extents"])
-    if kind == "sphere":
-        return SphereShape(data["center"], data["radius"])
-    if kind == "cylinder":
-        return Cylinder(data["center"], data["axis"], data["radius"], data["half_length"])
-    raise ValueError(f"unknown shape kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise ValueError(f"unknown shape kind: {kind!r}")
+    make, keys = _SHAPES[kind]
+    _check_keys(f"{kind} shape", data, ("kind", *keys))
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{kind} shape config lacks keys: {missing}")
+    return make(*(data[k] for k in keys))
 
 
 def _workspace_from_dict(data: dict) -> WorkspaceBounds:

@@ -123,6 +123,13 @@ class TestGenScenes:
                 ],
                 "cylinder half_length",
             ),
+            ("fixed_shapes", [{"kind": "sphere", "center": [0.0, 0.3, 0.5]}], "'radius'"),
+            ("fixed_shapes", ["x"], "fixed_shapes"),
+            (
+                "fixed_shapes",
+                [{"kind": "sphere", "center": [0.0, 0.3, 0.5], "radius": 0.04, "axis": [0, 0, 1]}],
+                "'axis'",
+            ),
         ],
     )
     def test_malformed_randomizer_is_usage_error(
