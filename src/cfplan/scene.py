@@ -257,8 +257,7 @@ class Scene:
         within ``d_nn + 2t + (r_max - r_min)`` of ``x0``.  One ball query
         over the larger of the two radii keeps them all.
         """
-        n = self.radii.shape[0]
-        if n == 0:
+        if self.radii.shape[0] == 0:
             return np.empty(0, dtype=np.intp)
         rows = np.asarray(rows, dtype=float).reshape(-1, 3)
         x0 = rows[0]
@@ -266,8 +265,8 @@ class Scene:
         r_min, r_max = float(self.radii.min()), float(self.radii.max())
         d_nn = float(self.tree.query(x0)[0])
         radius = max(reach + r_max + t, d_nn + 2.0 * t + (r_max - r_min))
-        ball = self.tree.query_ball_point(x0, _slack(radius))
-        return np.sort(np.array(ball, dtype=np.intp))
+        ball = self.tree.query_ball_point(x0, _slack(radius), return_sorted=True)
+        return np.array(ball, dtype=np.intp)
 
 
 def _slack(radius):
