@@ -243,6 +243,15 @@ class Scene:
         first = np.r_[True, i[1:] != i[:-1]]
         return _read_only(centers[j[first]])
 
+    @cached_property
+    def _extent(self) -> tuple[np.ndarray, float, float, float]:
+        """Midpoint and radius of a ball holding every obstacle center, and
+        the smallest and largest obstacle radius."""
+        c = self.centers
+        mid = (c.min(axis=0) + c.max(axis=0)) / 2.0
+        spread = float(np.sqrt(((c - mid) ** 2).sum(axis=1)).max())
+        return mid, spread, float(self.radii.min()), float(self.radii.max())
+
     def neighbour_list(self, rows, travel: float, reach: float = -math.inf) -> np.ndarray:
         """Indices, ascending, of every obstacle that points within
         ``travel`` of any of the (k, 3) ``rows`` can touch: each obstacle
@@ -256,13 +265,23 @@ class Scene:
         ``d_nn + t - r_min`` of the point, so every minimizer's center lies
         within ``d_nn + 2t + (r_max - r_min)`` of ``x0``.  One ball query
         over the larger of the two radii keeps them all.
+
+        When that ball must hold every center (always for one obstacle), the
+        list is every index and the tree is not queried: all centers lie
+        within ``c`` of their midpoint, at ``g`` from ``x0``, so within
+        ``g + c`` of ``x0`` and no nearer than ``g - c``.
         """
-        if self.radii.shape[0] == 0:
+        n = self.radii.shape[0]
+        if n == 0:
             return np.empty(0, dtype=np.intp)
         rows = np.asarray(rows, dtype=float).reshape(-1, 3)
         x0 = rows[0]
+        mid, c, r_min, r_max = self._extent
+        if 2.0 * travel + (r_max - r_min) >= 2.0 * c or (
+            reach + r_max + travel >= math.dist(x0, mid) + c
+        ):
+            return np.arange(n)
         t = travel + float(np.sqrt(((rows - x0) ** 2).sum(axis=1)).max())
-        r_min, r_max = float(self.radii.min()), float(self.radii.max())
         d_nn = float(self.tree.query(x0)[0])
         radius = max(reach + r_max + t, d_nn + 2.0 * t + (r_max - r_min))
         ball = self.tree.query_ball_point(x0, _slack(radius), return_sorted=True)

@@ -227,6 +227,17 @@ class TestNeighbourList:
         scene = spheres_scene([(1.0, 0, 0), (0, 1.3, 0), (0, 0, 3.0)], [0.05, 0.5, 0.5])
         assert scene.neighbour_list(np.zeros((1, 3)), 0.0).tolist() == [0, 1]
 
+    def test_row_equidistant_from_lattice_centers(self):
+        # the tree's nearest distance and its ball query round differently:
+        # without the slack this list comes back empty
+        cells = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1)
+        centers = 0.07 * cells.reshape(-1, 3) + 0.7
+        scene = spheres_scene(centers, [0.05] * len(centers))
+        x0 = (centers[17] + centers[52]) / 2.0
+        surf = norms(x0 - scene.centers) - scene.radii
+        want = np.nonzero(surf == surf.min())[0]
+        assert set(want) <= set(scene.neighbour_list(x0[None], 0.0).tolist())
+
     def test_one_sphere(self):
         scene = spheres_scene([(0.0, 0.0, 0.0)], [0.1])
         assert scene.neighbour_list(np.array([[5.0, 0, 0]]), 0.0).tolist() == [0]
