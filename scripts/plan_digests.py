@@ -4,9 +4,11 @@
 Each line names one ``execute`` run and hashes everything it returned
 (positions, clearances, ``reached``, ``steps_used``, ``min_clearance``,
 ``best_agent_history``) together with the run's ``trajectory_cost``; the last
-line hashes all runs.  Two checkouts plan bitwise identically on these inputs
-exactly when their outputs match, which is how a refactor of the planner or
-the cost shows that it changed no result:
+line hashes all runs.  Each line also prints, outside the hash, how many
+replanning segments a random-heuristic agent won (``random=``).  Two checkouts
+plan bitwise identically on these inputs exactly when their outputs match,
+which is how a refactor of the planner or the cost shows that it changed no
+result:
 
     PYTHONPATH=src python3 scripts/plan_digests.py > after.txt
 
@@ -41,9 +43,11 @@ from cfplan import (
     AgentCostWeights,
     BoResult,
     BoundsBox,
+    HeuristicKind,
     PlannerConfig,
     Scene,
     TrajectoryCostWeights,
+    agent_heuristic,
     default_bounds,
     default_desk_randomizer,
     bo_minimize,
@@ -88,7 +92,11 @@ def digest(scene: Scene, p: np.ndarray, cfg: PlannerConfig) -> tuple[str, str]:
             )
         ).encode()
     )
-    return f"steps={result.steps_used} reached={result.reached}", h.hexdigest()
+    random_won = sum(
+        agent_heuristic(a) is HeuristicKind.RANDOM for _, a in result.best_agent_history
+    )
+    summary = f"steps={result.steps_used} reached={result.reached} random={random_won}"
+    return summary, h.hexdigest()
 
 
 def cases():
@@ -195,7 +203,7 @@ def main() -> int:
     for name, scene, p, cfg in cases():
         summary, hexdigest = digest(scene, p, cfg)
         total.update(hexdigest.encode())
-        print(f"{name:34s} {summary:26s} {hexdigest[:16]}", flush=True)
+        print(f"{name:34s} {summary:35s} {hexdigest[:16]}", flush=True)
     print(f"clouds {clouds_digest()}")
     print(f"tuning {tuning_digest()}")
     print(f"scenes {scenes_digest()}")
