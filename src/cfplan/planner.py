@@ -3,18 +3,19 @@
 A small committee of virtual agents shares the robot state.  Every agent
 carries its own gains and current heuristic; at each replanning step all of
 them simulate a short rollout from the current state, the cheapest rollout
-(by ``agent_cost``) wins, and the executor advances with the winner's force
-field until the next replan.  Integration is semi-implicit Euler with a hard
-speed cap.
+(by ``agent_cost``) wins, and the robot follows the winning rollout itself
+until the next replan: the committed segment is that rollout's first
+``replan_every`` steps, cut short at the first sample within the goal
+tolerance.  Integration is semi-implicit Euler with a hard speed cap.
 
 One lockstep kernel, ``_simulate``, does all simulation.  It advances an
 (A, 3) state for every agent at once: per step one (A, m) surface-distance
 pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
 (``heuristics.batch_currents``, dispatching on each pair's heuristic), and
 per-agent sums of the obstacle forces.  ``rollout`` runs it with the agents
-``plan_step`` is given, the executor's committed segment with A = 1.  Every
-agent's result is bitwise the one it would get alone: the kernel keeps each
-rounding step of the per-agent computation (see ``cfplan.vec3``).
+``plan_step`` is given.  Every agent's result is bitwise the one it would get
+alone: the kernel keeps each rounding step of the per-agent computation (see
+``cfplan.vec3``).
 
 The m obstacles are a Verlet neighbour list.  The speed cap bounds how far
 any agent moves in a call (``n_steps * v_max * dt``), so one k-d tree ball
@@ -27,8 +28,6 @@ order as a pass over the whole scene, and results are bitwise the same.
 Random-heuristic agents reseed their generator from
 ``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
 of its inputs and two rollouts from the same state are bitwise identical.
-The executor keeps a separate stream for the random currents it consumes
-while following a winning random agent.
 
 The kernel matches the scalar force/heuristic functions
 (``fields.steering_force``, ``heuristics.compute_current``) to
@@ -40,7 +39,6 @@ exception mid-rollout.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,14 +49,13 @@ from .cost import AgentCostWeights, agent_cost
 from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
 from .heuristics import HeuristicKind, agent_heuristic, batch_currents
 from .params import agent_gains, detection_radius, validate_params
-from .scene import Scene, as_vec3
+from .scene import Scene, as_vec3, finite_real
 from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
 EMPTY_CLEARANCE = 1e9
 
 _SEED_MASK = (1 << 63) - 1
-_EXEC_STREAM = 0x45584543
 
 
 @dataclass(frozen=True)
@@ -75,19 +72,15 @@ class PlannerConfig:
     jacobian: np.ndarray | None = None  # 3 x n arm Jacobian, None disables the pull
 
     def __post_init__(self):
-        for names, kind, what in (
-            (("n_agents", "horizon", "replan_every", "max_steps", "master_seed"),
-             numbers.Integral, "an integer"),
-            (("dt", "mass", "v_max", "goal_tolerance"), numbers.Real, "a real number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        for name in ("n_agents", "horizon", "replan_every", "max_steps", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_agents < 1 or self.horizon < 1 or self.replan_every < 1:
             raise ValueError("n_agents, horizon and replan_every must be >= 1")
-        if not all(x > 0.0 for x in (self.dt, self.mass, self.v_max, self.goal_tolerance)):
-            raise ValueError("dt, mass, v_max and goal_tolerance must be positive")
+        for name in ("dt", "mass", "v_max", "goal_tolerance"):
+            if finite_real(name, getattr(self, name)) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         if self.jacobian is not None:
@@ -275,21 +268,20 @@ def _simulate(
     com: _Committee,
     cfg: PlannerConfig,
     rngs,
-    stop_within: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roll ``n_steps`` of every committee agent's own field in lockstep
     from the (A, 3) states (x, v), agent ``a`` drawing random currents from
-    ``rngs[a]``.  With ``stop_within`` set (single-agent runs) stop early
-    once a step ends that close to the goal.
+    ``rngs[a]``.
 
-    Returns positions (A, k+1, 3) and per-sample clearances (A, k+1) from the
-    start sample on, and the final (A, 3) velocities.
+    Returns positions (A, n_steps+1, 3), per-sample clearances
+    (A, n_steps+1) and velocities (A, n_steps+1, 3), from the start sample on.
 
     No agent travels farther than ``n_steps * v_max * dt``, so the obstacles
     of ``scene.neighbour_list`` for that budget are the only ones that can
     enter a shell or attain a clearance; every step scans just those.
     """
     pos = np.empty((x.shape[0], n_steps + 1, 3))
+    vel = np.empty_like(pos)
     clr = np.empty((x.shape[0], n_steps + 1))
     near = scene.neighbour_list(x, n_steps * cfg.v_max * cfg.dt, float(com.reach.max()))
     centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
@@ -303,13 +295,10 @@ def _simulate(
         dist = norms(offsets)
         surf = dist - radii
         pos[:, i] = x
+        vel[:, i] = v
         clr[:, i] = np.minimum.reduce(surf, axis=1) if radii.shape[0] else EMPTY_CLEARANCE
         if i == n_steps:
-            return pos, clr, v
-        if stop_within is not None and i > 0:
-            gap = scene.goal - x[0]
-            if math.sqrt(float(gap @ gap)) <= stop_within:
-                return pos[:, : i + 1], clr[:, : i + 1], v
+            return pos, clr, vel
         force = _forces(x, v, offsets, dist, surf, scene.goal, nn, com, rngs, pull)
         x, v = _euler_step(x, v, force, cfg.mass, cfg.dt, cfg.v_max)
         i += 1
@@ -342,15 +331,20 @@ def _rollout_rng(cfg: PlannerConfig, agent: Agent) -> np.random.Generator | None
     )
 
 
-def rollout(agents: list[Agent], scene: Scene, cfg: PlannerConfig) -> list[Trajectory]:
-    """Simulate ``cfg.horizon`` steps of every agent's field from its own
-    state, all agents in lockstep; one trajectory per agent, in order."""
+def rollout(
+    agents: list[Agent], scene: Scene, cfg: PlannerConfig
+) -> tuple[list[Trajectory], np.ndarray]:
+    """Simulate ``max(cfg.horizon, cfg.replan_every)`` steps of every agent's
+    field from its own state, all agents in lockstep, so that each rollout
+    covers a committed segment.  Returns one trajectory per agent, in order,
+    and their per-sample velocities (A, k+1, 3)."""
     x = np.stack([a.state.position for a in agents])
     v = np.stack([a.state.velocity for a in agents])
     rngs = [_rollout_rng(cfg, a) for a in agents]
-    pos, clr, _ = _simulate(x, v, cfg.horizon, scene, _Committee.of(agents), cfg, rngs)
-    times = np.arange(cfg.horizon + 1) * cfg.dt
-    return [Trajectory(times, pos[k], clr[k]) for k in range(len(agents))]
+    n_steps = max(cfg.horizon, cfg.replan_every)
+    pos, clr, vel = _simulate(x, v, n_steps, scene, _Committee.of(agents), cfg, rngs)
+    times = np.arange(n_steps + 1) * cfg.dt
+    return [Trajectory(times, pos[k], clr[k]) for k in range(len(agents))], vel
 
 
 def plan_step(
@@ -358,11 +352,13 @@ def plan_step(
     scene: Scene,
     cfg: PlannerConfig,
     weights: AgentCostWeights,
-) -> int:
-    """Roll out every agent from its current state and return the id of the
-    one with the lowest agent_cost (ties go to the lowest id)."""
-    costs = [agent_cost(traj, scene, weights) for traj in rollout(agents, scene, cfg)]
-    return agents[int(np.argmin(costs))].id
+) -> tuple[int, Trajectory, np.ndarray]:
+    """Roll out every agent from its current state and return the one with
+    the lowest agent_cost (ties go to the lowest id): its id, its rollout and
+    the rollout's per-sample velocities."""
+    trajs, vel = rollout(agents, scene, cfg)
+    best = int(np.argmin([agent_cost(traj, scene, weights) for traj in trajs]))
+    return agents[best].id, trajs[best], vel[best]
 
 
 def execute(
@@ -370,40 +366,36 @@ def execute(
 ) -> PlanResult:
     """Plan from scene start to goal, replanning every ``cfg.replan_every``
     steps, until the goal tolerance is met or ``cfg.max_steps`` run out.
+    The robot follows each replan's winning rollout for ``replan_every``
+    steps, or up to its first later sample within the goal tolerance.
 
     Deterministic: the result is a pure function of (scene, p, cfg, weights).
     """
     agents = make_agents(p, cfg)
-    solo = [_Committee.of([a]) for a in agents]
-    exec_rngs = [
-        np.random.default_rng(
-            np.random.SeedSequence([cfg.master_seed & _SEED_MASK, _EXEC_STREAM])
-        )
-    ]
-
-    x = scene.start[None]
-    v = np.zeros((1, 3))
+    x = scene.start
+    v = np.zeros(3)
     # zero steps yield just the start sample
-    pos, clr, _ = _simulate(x, v, 0, scene, solo[0], cfg, exec_rngs)
+    pos, clr, _ = _simulate(x[None], v[None], 0, scene, _Committee.of(agents[:1]), cfg, [None])
     positions, clearances = [pos[0]], [clr[0]]
     history: list[tuple[int, int]] = []
-    reached = bool(np.linalg.norm(scene.goal - x[0]) <= cfg.goal_tolerance)
+    reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
     steps_used = 0
     while not reached and steps_used < cfg.max_steps:
-        kin = AgentKinematics(x[0], v[0])
+        kin = AgentKinematics(x, v)
         for a in agents:
             a.state = kin
-        best_id = plan_step(agents, scene, cfg, weights)
+        best_id, traj, vel = plan_step(agents, scene, cfg, weights)
         history.append((steps_used, best_id))
         n = min(cfg.replan_every, cfg.max_steps - steps_used)
-        pos, clr, v = _simulate(
-            x, v, n, scene, solo[best_id - 1], cfg, exec_rngs, cfg.goal_tolerance
-        )
-        positions.append(pos[0, 1:])
-        clearances.append(clr[0, 1:])
-        x = pos[:, -1]
-        steps_used += pos.shape[1] - 1
-        reached = bool(np.linalg.norm(scene.goal - x[0]) <= cfg.goal_tolerance)
+        gap = scene.goal - traj.positions[1 : n + 1]
+        within = (np.sqrt(dots(gap, gap)) <= cfg.goal_tolerance).nonzero()[0]
+        if within.size:
+            n = int(within[0]) + 1
+        positions.append(traj.positions[1 : n + 1])
+        clearances.append(traj.clearances[1 : n + 1])
+        x, v = traj.positions[n], vel[n]
+        steps_used += n
+        reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
 
     clr = np.concatenate(clearances)
     traj = Trajectory(np.arange(steps_used + 1) * cfg.dt, np.concatenate(positions), clr)

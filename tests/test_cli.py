@@ -320,6 +320,11 @@ class TestPlan:
             ("planner", "master_seed", "3"),
             ("planner", "dt", "0.01"),
             ("planner", "dt", float("nan")),
+            ("planner", "dt", float("inf")),
+            ("planner", "mass", float("inf")),
+            ("planner", "v_max", float("inf")),
+            ("planner", "goal_tolerance", float("inf")),
+            ("planner", "mass", float("-inf")),
             ("planner", "v_max", True),
             ("planner", "goal_tolerance", None),
             ("tuner", "n_init", 8.7),

@@ -65,6 +65,17 @@ class TestMerging:
     def test_knn_k(self):
         assert run_config_from_dict({"knn_k": 5}).knn_k == 5
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["dt", "mass", "v_max", "goal_tolerance"])
+    def test_non_finite_planner_reals_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            run_config_from_dict({"planner": {name: value}})
+
+    @pytest.mark.parametrize("name", ["dt", "mass", "v_max", "goal_tolerance"])
+    def test_non_positive_planner_reals_name_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            run_config_from_dict({"planner": {name: 0.0}})
+
 
 class TestBoundsSection:
     def test_shorthand(self):

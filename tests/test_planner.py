@@ -8,7 +8,7 @@ import pytest
 from cfplan import planner
 from cfplan.cost import AgentCostWeights, agent_cost
 from cfplan.fields import AgentKinematics, steering_force
-from cfplan.heuristics import compute_current
+from cfplan.heuristics import HeuristicKind, agent_heuristic, compute_current
 from cfplan.planner import (
     EMPTY_CLEARANCE,
     PlannerConfig,
@@ -96,7 +96,7 @@ class TestRollout:
         cfg = PlannerConfig(horizon=20)
         agent = make_agents(untuned_baseline(), cfg)[0]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0]
+        traj = rollout([agent], scene, cfg)[0][0]
         assert len(traj) == 21
         assert np.allclose(np.diff(traj.times), cfg.dt)
         assert np.allclose(traj.positions[0], scene.start)
@@ -106,7 +106,7 @@ class TestRollout:
         cfg = PlannerConfig(horizon=15)
         agent = make_agents(untuned_baseline(), cfg)[2]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0]
+        traj = rollout([agent], scene, cfg)[0][0]
         centers, radii = scene_arrays(scene)
         for k in range(len(traj)):
             expected = min_surface_distance(traj.positions[k], centers, radii)
@@ -119,9 +119,9 @@ class TestRollout:
         p = make_params(k_p=8.0, k_v=4.0, k_cf=30.0, k_r=0.5, r_d=0.3)
         agent = make_agents(p, cfg)[5]  # id 6: first RANDOM heuristic
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        a = rollout([agent], scene, cfg)[0]
+        a = rollout([agent], scene, cfg)[0][0]
         rollout([make_agents(p, cfg)[6]], scene, cfg)  # interleaved other agent
-        b = rollout([agent], scene, cfg)[0]
+        b = rollout([agent], scene, cfg)[0][0]
         assert np.array_equal(a.positions, b.positions)
 
     def test_master_seed_changes_random_agent(self):
@@ -132,7 +132,7 @@ class TestRollout:
             cfg = PlannerConfig(horizon=25, master_seed=seed)
             agent = make_agents(p, cfg)[5]
             agent.state = AgentKinematics(scene.start, np.zeros(3))
-            trajs.append(rollout([agent], scene, cfg)[0])
+            trajs.append(rollout([agent], scene, cfg)[0][0])
         assert not np.array_equal(trajs[0].positions, trajs[1].positions)
 
     def test_speed_cap_limits_step_length(self):
@@ -141,7 +141,7 @@ class TestRollout:
         p = make_params(k_p=150.0, k_v=0.0, r_d=0.0)
         agent = make_agents(p, cfg)[0]
         agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0]
+        traj = rollout([agent], scene, cfg)[0][0]
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
         assert np.all(steps <= cfg.v_max * cfg.dt + 1e-12)
 
@@ -154,7 +154,7 @@ class TestPlanStep:
         kin = AgentKinematics(scene.start, np.zeros(3))
         for a in agents:
             a.state = kin
-        assert plan_step(agents, scene, cfg, WEIGHTS) == 1
+        assert plan_step(agents, scene, cfg, WEIGHTS)[0] == 1
 
     def test_returns_argmin_agent(self):
         scene = obstruction_scene()
@@ -163,9 +163,9 @@ class TestPlanStep:
         kin = AgentKinematics(scene.start, np.zeros(3))
         for a in agents:
             a.state = kin
-        chosen = plan_step(agents, scene, cfg, WEIGHTS)
+        chosen, _, _ = plan_step(agents, scene, cfg, WEIGHTS)
         costs = {
-            a.id: agent_cost(rollout([a], scene, cfg)[0], scene, WEIGHTS) for a in agents
+            a.id: agent_cost(rollout([a], scene, cfg)[0][0], scene, WEIGHTS) for a in agents
         }
         assert costs[chosen] == min(costs.values())
 
@@ -217,10 +217,10 @@ class TestLockstep:
         }[which]()
         cfg = PlannerConfig(horizon=25, master_seed=4, jacobian=JACOBIAN)
         agents = spread_agents(LOCKSTEP_P, cfg, scene.start, seed=2)
-        together = rollout(agents, scene, cfg)
+        together, _ = rollout(agents, scene, cfg)
         assert len(together) == 7
         for agent, traj in zip(agents, together):
-            alone = rollout([agent], scene, cfg)[0]
+            alone = rollout([agent], scene, cfg)[0][0]
             assert np.array_equal(traj.positions, alone.positions)
             assert np.array_equal(traj.clearances, alone.clearances)
 
@@ -234,8 +234,8 @@ class TestLockstep:
         budget = (cfg.horizon * cfg.v_max * cfg.dt, agents[0].r_d)
         shared = scene.neighbour_list(x, *budget).size
         assert all(scene.neighbour_list(row[None], *budget).size < shared for row in x)
-        for agent, traj in zip(agents, rollout(agents, scene, cfg)):
-            alone = rollout([agent], scene, cfg)[0]
+        for agent, traj in zip(agents, rollout(agents, scene, cfg)[0]):
+            alone = rollout([agent], scene, cfg)[0][0]
             assert traj.positions.tobytes() == alone.positions.tobytes()
             assert traj.clearances.tobytes() == alone.clearances.tobytes()
 
@@ -350,6 +350,63 @@ class TestExecute:
         assert result.reached
         assert result.steps_used == 0
         assert len(result.trajectory) == 1
+
+
+def recorded_execute(monkeypatch, scene, p, cfg):
+    """``execute`` with every ``plan_step`` result recorded, in order."""
+    steps = []
+    original = planner.plan_step
+
+    def wrapper(*args):
+        steps.append(original(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(planner, "plan_step", wrapper)
+    return execute(scene, p, cfg, WEIGHTS), steps
+
+
+def assert_segments_are_rollout_prefixes(result, steps):
+    """Each committed segment, start sample included, is byte for byte the
+    start of the rollout that won its replan."""
+    assert [won for _, won in result.best_agent_history] == [won for won, _, _ in steps]
+    bounds = [step for step, _ in result.best_agent_history] + [result.steps_used]
+    traj = result.trajectory
+    for (_, rolled, vel), a, b in zip(steps, bounds, bounds[1:]):
+        assert len(rolled) == vel.shape[0] > b - a
+        assert traj.positions[a : b + 1].tobytes() == rolled.positions[: b - a + 1].tobytes()
+        assert traj.clearances[a : b + 1].tobytes() == rolled.clearances[: b - a + 1].tobytes()
+
+
+class TestCommittedSegment:
+    def test_random_winners_commit_their_rollout(self, monkeypatch):
+        cfg = PlannerConfig(horizon=20, replan_every=5, max_steps=200, master_seed=4)
+        result, steps = recorded_execute(monkeypatch, clutter_scene(), LOCKSTEP_P, cfg)
+        won = [agent_heuristic(a) for _, a in result.best_agent_history]
+        assert HeuristicKind.RANDOM in won
+        assert_segments_are_rollout_prefixes(result, steps)
+
+    def test_replan_longer_than_horizon(self, monkeypatch):
+        # every rollout runs replan_every steps, so it covers its segment
+        cfg = PlannerConfig(horizon=10, replan_every=15, max_steps=300, master_seed=4)
+        result, steps = recorded_execute(monkeypatch, clutter_scene(), LOCKSTEP_P, cfg)
+        assert len(steps) > 1
+        assert all(len(rolled) == cfg.replan_every + 1 for _, rolled, _ in steps)
+        assert_segments_are_rollout_prefixes(result, steps)
+
+    def test_goal_mid_segment_stops_at_first_sample_within_tolerance(self, monkeypatch):
+        from tests.conftest import empty_scene
+
+        scene = empty_scene(goal=(0.3, 0.2, 0.6))
+        cfg = PlannerConfig(horizon=10, replan_every=20, max_steps=2000)
+        result, steps = recorded_execute(monkeypatch, scene, make_params(k_p=10.0, k_v=5.0), cfg)
+        assert result.reached
+        last_replan = result.best_agent_history[-1][0]
+        assert 0 < result.steps_used - last_replan < cfg.replan_every
+        gaps = np.linalg.norm(steps[-1][1].positions - scene.goal, axis=1)
+        assert gaps[result.steps_used - last_replan] <= cfg.goal_tolerance
+        assert np.all(gaps[1 : result.steps_used - last_replan] > cfg.goal_tolerance)
+        assert len(result.trajectory) == result.steps_used + 1
+        assert_segments_are_rollout_prefixes(result, steps)
 
 
 class TestConfigValidation:
