@@ -353,28 +353,37 @@ class TestExecute:
 
 
 def recorded_execute(monkeypatch, scene, p, cfg):
-    """``execute`` with every ``plan_step`` result recorded, in order."""
+    """``execute`` with each replan's start state and ``plan_step`` result
+    recorded, in order."""
     steps = []
     original = planner.plan_step
 
-    def wrapper(*args):
-        steps.append(original(*args))
-        return steps[-1]
+    def wrapper(agents, *args):
+        steps.append((agents[0].state, *original(agents, *args)))
+        return steps[-1][1:]
 
     monkeypatch.setattr(planner, "plan_step", wrapper)
     return execute(scene, p, cfg, WEIGHTS), steps
 
 
-def assert_segments_are_rollout_prefixes(result, steps):
+def assert_segments_are_rollout_prefixes(result, steps, dt):
     """Each committed segment, start sample included, is byte for byte the
-    start of the rollout that won its replan."""
-    assert [won for _, won in result.best_agent_history] == [won for won, _, _ in steps]
+    start of the rollout that won its replan, and the next replan starts from
+    that rollout's state at the cut."""
+    assert [won for _, won in result.best_agent_history] == [won for _, won, _, _ in steps]
     bounds = [step for step, _ in result.best_agent_history] + [result.steps_used]
     traj = result.trajectory
-    for (_, rolled, vel), a, b in zip(steps, bounds, bounds[1:]):
-        assert len(rolled) == vel.shape[0] > b - a
-        assert traj.positions[a : b + 1].tobytes() == rolled.positions[: b - a + 1].tobytes()
-        assert traj.clearances[a : b + 1].tobytes() == rolled.clearances[: b - a + 1].tobytes()
+    for k, ((_, _, rolled, vel), a, b) in enumerate(zip(steps, bounds, bounds[1:])):
+        n = b - a
+        assert len(rolled) == vel.shape[0] > n
+        assert traj.positions[a : b + 1].tobytes() == rolled.positions[: n + 1].tobytes()
+        assert traj.clearances[a : b + 1].tobytes() == rolled.clearances[: n + 1].tobytes()
+        # semi-implicit Euler moves each sample by dt times the next velocity
+        assert np.allclose(np.diff(rolled.positions, axis=0), dt * vel[1:], rtol=0, atol=1e-12)
+        if k + 1 < len(steps):
+            start = steps[k + 1][0]
+            assert start.position.tobytes() == rolled.positions[n].tobytes()
+            assert start.velocity.tobytes() == vel[n].tobytes()
 
 
 class TestCommittedSegment:
@@ -383,15 +392,15 @@ class TestCommittedSegment:
         result, steps = recorded_execute(monkeypatch, clutter_scene(), LOCKSTEP_P, cfg)
         won = [agent_heuristic(a) for _, a in result.best_agent_history]
         assert HeuristicKind.RANDOM in won
-        assert_segments_are_rollout_prefixes(result, steps)
+        assert_segments_are_rollout_prefixes(result, steps, cfg.dt)
 
     def test_replan_longer_than_horizon(self, monkeypatch):
         # every rollout runs replan_every steps, so it covers its segment
         cfg = PlannerConfig(horizon=10, replan_every=15, max_steps=300, master_seed=4)
         result, steps = recorded_execute(monkeypatch, clutter_scene(), LOCKSTEP_P, cfg)
         assert len(steps) > 1
-        assert all(len(rolled) == cfg.replan_every + 1 for _, rolled, _ in steps)
-        assert_segments_are_rollout_prefixes(result, steps)
+        assert all(len(rolled) == cfg.replan_every + 1 for _, _, rolled, _ in steps)
+        assert_segments_are_rollout_prefixes(result, steps, cfg.dt)
 
     def test_goal_mid_segment_stops_at_first_sample_within_tolerance(self, monkeypatch):
         from tests.conftest import empty_scene
@@ -402,11 +411,11 @@ class TestCommittedSegment:
         assert result.reached
         last_replan = result.best_agent_history[-1][0]
         assert 0 < result.steps_used - last_replan < cfg.replan_every
-        gaps = np.linalg.norm(steps[-1][1].positions - scene.goal, axis=1)
+        gaps = np.linalg.norm(steps[-1][2].positions - scene.goal, axis=1)
         assert gaps[result.steps_used - last_replan] <= cfg.goal_tolerance
         assert np.all(gaps[1 : result.steps_used - last_replan] > cfg.goal_tolerance)
         assert len(result.trajectory) == result.steps_used + 1
-        assert_segments_are_rollout_prefixes(result, steps)
+        assert_segments_are_rollout_prefixes(result, steps, cfg.dt)
 
 
 class TestConfigValidation:
