@@ -17,6 +17,11 @@ parameter vectors under two planner settings (one whose ``max_steps`` is not a m
 of ``replan_every``), each with and without an arm Jacobian, and the desk
 scenes labeled in ``perfbench/data/desk_train.jsonl`` with their stored gains.
 
+The ``default/`` lines run the first two stored desk labels at
+``PlannerConfig()`` (horizon 50, replan_every 5, max_steps 2,000), the
+settings ``cfplan plan`` uses without ``--config``, where a rollout travels
+far enough that one neighbour list per rollout would cover most of the scene.
+
 The ``clouds`` line before ``all`` hashes the surface clouds of those desk
 scenes, drawn as they were stored, and of two unseen desk scenes, drawn as
 ``cfplan plan --infer`` draws them.  The ``tuning`` line hashes every
@@ -27,8 +32,8 @@ one that raises on half the box and so scores ``PENALTY``), plus one short
 ``tune_scene`` of the obstruction scene.  The ``scenes`` line hashes the
 centers, radii and goal of ``randomize_scene`` on desk seeds 0-39 and on the
 two unseen desk scenes, and the ``nn`` line hashes ``Scene.nn_centers`` on
-the same scenes.  These four lines stay out of ``all`` so that ``all``
-compares with checkouts that print none of them.
+the same scenes.  These four lines and the ``default/`` ones stay out of
+``all`` so that ``all`` compares with checkouts that print none of them.
 """
 
 from __future__ import annotations
@@ -126,6 +131,14 @@ def cases():
             yield name, scene, p, PlannerConfig(jacobian=jac, **CONFIGS["h20r20"])
 
 
+def default_cases():
+    desk = default_desk_randomizer()
+    for label in stored_labels()[:2]:
+        scene = randomize_scene(desk, label["scene_id"])
+        p = np.asarray(label["p_star"], dtype=float)
+        yield f"default/{label['scene_id']}/nojac", scene, p, PlannerConfig()
+
+
 def clouds_digest() -> str:
     desk = default_desk_randomizer()
     draws = [(label["scene_id"], label["scene_id"]) for label in stored_labels()]
@@ -203,6 +216,9 @@ def main() -> int:
     for name, scene, p, cfg in cases():
         summary, hexdigest = digest(scene, p, cfg)
         total.update(hexdigest.encode())
+        print(f"{name:34s} {summary:35s} {hexdigest[:16]}", flush=True)
+    for name, scene, p, cfg in default_cases():
+        summary, hexdigest = digest(scene, p, cfg)
         print(f"{name:34s} {summary:35s} {hexdigest[:16]}", flush=True)
     print(f"clouds {clouds_digest()}")
     print(f"tuning {tuning_digest()}")
