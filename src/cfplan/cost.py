@@ -4,9 +4,11 @@
 scores a full executed trajectory and is the objective the tuner minimizes.
 Both recompute obstacle distances from the scene rather than trusting the
 clearance values stored on the trajectory, so they also score trajectories
-that were produced elsewhere.  ``agent_cost`` needs only the closest approach,
-so it scans just the obstacles of ``Scene.neighbour_list`` for the rollout's
-samples, which include one attaining each sample's minimum.
+that were produced elsewhere.  Both take them from ``scene_clearances``, which
+splits the samples into blocks of ``CLEARANCE_CHUNK`` rows and runs the brute
+``surface_clearances`` scan of each block over just the obstacles of its own
+``Scene.neighbour_list``; those include one attaining each sample's minimum,
+so the result is bitwise that of a scan over the whole scene.
 
 Distances to obstacles are surface distances (negative inside a sphere) and
 are clamped at 1e-6 before entering any 1/d term, so collisions produce large
@@ -22,7 +24,7 @@ import numpy as np
 from .scene import Scene, WorkspaceBounds, finite_real
 
 D_CLAMP = 1e-6
-CLEARANCE_CHUNK = 64  # rows per surface_clearances block: bounds its (rows, n, 3) temporary
+CLEARANCE_CHUNK = 16  # rows per scan block: bounds the (rows, n, 3) temporary and each block's list
 
 
 def _check_weights(weights) -> None:
@@ -68,6 +70,21 @@ def surface_clearances(
     return out
 
 
+def scene_clearances(rows: np.ndarray, scene: Scene) -> np.ndarray:
+    """Bitwise ``surface_clearances(rows, scene.centers, scene.radii)``: each
+    block of ``CLEARANCE_CHUNK`` rows scans only the obstacles of its own
+    ``Scene.neighbour_list``, which holds one attaining each row's minimum."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    out = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], CLEARANCE_CHUNK):
+        block = rows[i : i + CLEARANCE_CHUNK]
+        near = scene.neighbour_list(block, 0.0)
+        out[i : i + CLEARANCE_CHUNK] = surface_clearances(
+            block, scene.centers.take(near, axis=0), scene.radii.take(near)
+        )
+    return out
+
+
 def workspace_violation(positions: np.ndarray, workspace: WorkspaceBounds) -> float:
     """Sum of squared per-axis box violations over all rows."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -95,9 +112,7 @@ def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
     c = weights.path_length * _path_length(pos)
     c += weights.goal_distance * float(np.linalg.norm(scene.goal - pos[-1]))
     if scene.radii.shape[0] > 0 and pos.shape[0] >= 2:
-        near = scene.neighbour_list(pos[1:], 0.0)
-        centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
-        d_min = float(surface_clearances(pos[1:], centers, radii).min())
+        d_min = float(scene_clearances(pos[1:], scene).min())
         c += weights.obstacle / max(d_min, D_CLAMP)
     if pos.shape[0] >= 2:
         c += weights.workspace * workspace_violation(pos[1:], scene.workspace)
@@ -113,12 +128,11 @@ def trajectory_cost(traj, scene: Scene, weights: TrajectoryCostWeights) -> float
     than three steps), and the final distance to ``scene.goal``.
     """
     pos = traj.positions
-    centers, radii = scene.centers, scene.radii
     steps = pos.shape[0] - 1
     c = weights.path_length * _path_length(pos)
     c += weights.goal_deviation * float(np.linalg.norm(pos[-1] - scene.goal))
-    if centers.shape[0] > 0 and steps >= 1:
-        d = np.maximum(surface_clearances(pos[1:], centers, radii), D_CLAMP)
+    if scene.radii.shape[0] > 0 and steps >= 1:
+        d = np.maximum(scene_clearances(pos[1:], scene), D_CLAMP)
         c += weights.clearance * float((1.0 / d).mean())
     if steps >= 3:
         second = pos[2:] - 2.0 * pos[1:-1] + pos[:-2]  # rows at samples 1..T-1

@@ -17,13 +17,16 @@ per-agent sums of the obstacle forces.  ``rollout`` runs it with the agents
 alone: the kernel keeps each rounding step of the per-agent computation (see
 ``cfplan.vec3``).
 
-The m obstacles are a Verlet neighbour list.  The speed cap bounds how far
-any agent moves in a call (``n_steps * v_max * dt``), so one k-d tree ball
-query per call (``Scene.neighbour_list``) finds every obstacle whose surface
-can come within an agent's detection radius and every obstacle that can be
-nearest to a sample; the dense pass then runs over those alone.  They keep
-their ascending scene order, so pairs, sums and random draws follow the same
-order as a pass over the whole scene, and results are bitwise the same.
+The m obstacles are a Verlet neighbour list, refreshed every
+``REFRESH_STEPS`` steps from the agents' current rows.  The speed cap bounds
+how far any agent moves between refreshes (``REFRESH_STEPS - 1`` steps of
+``v_max * dt``), so each k-d tree ball query (``Scene.neighbour_list``) finds
+every obstacle whose surface can come within an agent's detection radius and
+every obstacle that can be nearest to a sample until the next one; the dense
+pass then runs over those alone.  A list that already holds every obstacle is
+kept for the rest of the call.  Lists keep their ascending scene order, so
+pairs, sums and random draws follow the same order as a pass over the whole
+scene, and results are bitwise the same.
 
 Random-heuristic agents reseed their generator from
 ``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
@@ -45,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cost import AgentCostWeights, agent_cost
+from .cost import AgentCostWeights, agent_cost, scene_clearances
 from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
 from .heuristics import HeuristicKind, agent_heuristic, batch_currents
 from .params import agent_gains, detection_radius, validate_params
@@ -54,6 +57,10 @@ from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
 EMPTY_CLEARANCE = 1e9
+
+#: samples scanned per neighbour list in ``_simulate``.  On desk scenes 3
+#: matched 5 at horizon 20 and beat it at horizon 50; 2, 4, 7 and 10 were slower
+REFRESH_STEPS = 3
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -276,21 +283,29 @@ def _simulate(
     Returns positions (A, n_steps+1, 3), per-sample clearances
     (A, n_steps+1) and velocities (A, n_steps+1, 3), from the start sample on.
 
-    No agent travels farther than ``n_steps * v_max * dt``, so the obstacles
-    of ``scene.neighbour_list`` for that budget are the only ones that can
-    enter a shell or attain a clearance; every step scans just those.
+    Every ``REFRESH_STEPS`` steps one ``scene.neighbour_list`` query from
+    the current rows lists the obstacles that can enter a shell or attain a
+    clearance at that sample and the ``REFRESH_STEPS - 1`` after it, within
+    which no agent moves farther than ``REFRESH_STEPS - 1`` steps of
+    ``v_max * dt``; those steps scan just them.
     """
     pos = np.empty((x.shape[0], n_steps + 1, 3))
     vel = np.empty_like(pos)
     clr = np.empty((x.shape[0], n_steps + 1))
-    near = scene.neighbour_list(x, n_steps * cfg.v_max * cfg.dt, float(com.reach.max()))
-    centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
-    nn = scene.nn_centers
-    if nn is not None:
-        nn = nn.take(near, axis=0)
+    reach = float(com.reach.max())
+    n_all = scene.radii.shape[0]
+    near = None
     pull = cfg.manip_direction
     i = 0
     while True:
+        if i % REFRESH_STEPS == 0 and (near is None or near.shape[0] < n_all):
+            # this list serves samples i .. i + REFRESH_STEPS - 1
+            travel = min(REFRESH_STEPS - 1, n_steps - i) * cfg.v_max * cfg.dt
+            near = scene.neighbour_list(x, travel, reach)
+            centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
+            nn = scene.nn_centers
+            if nn is not None:
+                nn = nn.take(near, axis=0)
         offsets = x[:, None, :] - centers
         dist = norms(offsets)
         surf = dist - radii
@@ -374,9 +389,11 @@ def execute(
     agents = make_agents(p, cfg)
     x = scene.start
     v = np.zeros(3)
-    # zero steps yield just the start sample
-    pos, clr, _ = _simulate(x[None], v[None], 0, scene, _Committee.of(agents[:1]), cfg, [None])
-    positions, clearances = [pos[0]], [clr[0]]
+    if scene.radii.shape[0]:
+        start_clearance = scene_clearances(x[None], scene)
+    else:
+        start_clearance = np.array([EMPTY_CLEARANCE])
+    positions, clearances = [x[None]], [start_clearance]
     history: list[tuple[int, int]] = []
     reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
     steps_used = 0

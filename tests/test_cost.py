@@ -10,17 +10,32 @@ import numpy as np
 import pytest
 
 from cfplan.cost import (
+    CLEARANCE_CHUNK,
     D_CLAMP,
     AgentCostWeights,
     TrajectoryCostWeights,
     agent_cost,
+    scene_clearances,
     surface_clearances,
     trajectory_cost,
     workspace_violation,
 )
-from cfplan.planner import Trajectory
-from cfplan.scene import Scene, SphereObstacle, WorkspaceBounds
-from tests.conftest import brute_agent_cost, brute_trajectory_cost
+from cfplan.planner import Trajectory, execute
+from cfplan.scene import (
+    Scene,
+    SphereObstacle,
+    WorkspaceBounds,
+    default_desk_randomizer,
+    randomize_scene,
+)
+from tests.conftest import (
+    BENCH_CFG,
+    brute_agent_cost,
+    brute_trajectory_cost,
+    empty_scene,
+    obstruction_scene,
+    untuned_baseline,
+)
 
 WS = WorkspaceBounds(min=(-2, -2, -2), max=(2, 2, 2))
 
@@ -47,13 +62,46 @@ class TestSurfaceClearances:
         assert np.all(np.isinf(d))
 
     def test_chunking_invisible(self):
-        # 700 rows span 11 blocks of CLEARANCE_CHUNK = 64, the last one partial
+        # 700 rows span 44 blocks of CLEARANCE_CHUNK = 16, the last one partial
         rng = np.random.default_rng(0)
         pos = rng.uniform(-1, 1, (700, 3))
         centers = rng.uniform(-1, 1, (5, 3))
         radii = rng.uniform(0.05, 0.2, 5)
         one_shot = (np.linalg.norm(pos[:, None] - centers, axis=2) - radii).min(axis=1)
         assert np.array_equal(surface_clearances(pos, centers, radii), one_shot)
+
+
+def desk_path(scene: Scene, n: int) -> np.ndarray:
+    """``n`` samples winding from the scene's start to the center of the
+    sphere nearest its goal, in free space first and then into that sphere."""
+    end = scene.centers[scene.tree.query(scene.goal)[1]]
+    s = np.linspace(0.0, 1.0, n)[:, None]
+    wiggle = 0.05 * (1.0 - s) * np.c_[np.sin(40 * s), np.cos(40 * s), np.sin(25 * s)]
+    return scene.start + s * (end - scene.start) + wiggle
+
+
+class TestSceneClearances:
+    def test_desk_path_equals_whole_scene_scan(self):
+        # 613 rows: 38 full blocks of CLEARANCE_CHUNK and a partial one,
+        # each listing a small part of the scene
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        rows = desk_path(scene, 613)
+        assert rows.shape[0] % CLEARANCE_CHUNK
+        assert scene.neighbour_list(rows[:CLEARANCE_CHUNK], 0.0).size < scene.radii.size // 4
+        got = scene_clearances(rows, scene)
+        want = surface_clearances(rows, scene.centers, scene.radii)
+        assert (got < 0.0).any() and (got > 0.0).any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_sphere(self):
+        scene = obstruction_scene()
+        rows = np.random.default_rng(0).uniform(-1, 1, (40, 3))
+        want = surface_clearances(rows, scene.centers, scene.radii)
+        assert scene_clearances(rows, scene).tobytes() == want.tobytes()
+
+    def test_empty_scene_is_inf(self):
+        got = scene_clearances(np.zeros((20, 3)), empty_scene())
+        assert got.shape == (20,) and np.all(got == np.inf)
 
 
 class TestWorkspaceViolation:
@@ -188,6 +236,21 @@ class TestBruteForceAgreement:
         got = agent_cost(traj, scene, w)
         want = brute_agent_cost(traj, scene, w)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["planned", "winding"])
+    def test_dense_desk(self, which):
+        # a desk plan of the untuned baseline and a path through spheres,
+        # each scored against every sphere of a ~2.7k-sphere scene
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        if which == "planned":
+            traj = execute(scene, untuned_baseline(), BENCH_CFG, AgentCostWeights()).trajectory
+        else:
+            traj = traj_of(desk_path(scene, 75))
+        assert len(traj) > 2 * CLEARANCE_CHUNK
+        aw, tw = AgentCostWeights(), TrajectoryCostWeights()
+        assert agent_cost(traj, scene, aw) == pytest.approx(brute_agent_cost(traj, scene, aw), rel=1e-12)
+        got = trajectory_cost(traj, scene, tw)
+        assert got == pytest.approx(brute_trajectory_cost(traj, scene, tw), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_trajectory_cost(self, seed):

@@ -283,6 +283,75 @@ class TestLockstep:
             assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, a.heuristic
 
 
+def every_obstacle(scene, rows, travel, reach=-np.inf):
+    return np.arange(scene.radii.shape[0])
+
+
+class TestRefreshedLists:
+    @pytest.mark.parametrize(
+        "horizon, around, spread", [(50, None, 0.15), (20, (0.0, 0.0, 0.55), 0.2)]
+    )
+    def test_equals_whole_scene_rollout(self, monkeypatch, horizon, around, spread):
+        # lists refreshed every REFRESH_STEPS steps from the current rows give
+        # byte for byte the rollout of a pass over every sphere of the scene
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        cfg = PlannerConfig(horizon=horizon, master_seed=4, jacobian=JACOBIAN)
+        agents = spread_agents(
+            LOCKSTEP_P, cfg, scene.start if around is None else around, seed=5, spread=spread
+        )
+        sizes = []
+        listed = Scene.neighbour_list
+
+        def recording(scene, *args):
+            near = listed(scene, *args)
+            sizes.append(near.size)
+            return near
+
+        monkeypatch.setattr(Scene, "neighbour_list", recording)
+        trajs, vel = rollout(agents, scene, cfg)
+        assert len(sizes) == horizon // planner.REFRESH_STEPS + 1
+        assert max(sizes) < scene.radii.shape[0]
+        monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
+        whole, whole_vel = rollout(agents, scene, cfg)
+        assert vel.tobytes() == whole_vel.tobytes()
+        for got, want in zip(trajs, whole):
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.clearances.tobytes() == want.clearances.tobytes()
+
+    def test_full_speed_toward_a_row_of_spheres(self, monkeypatch):
+        # one agent runs at v_max toward a row of small spheres just off its
+        # line, so a sphere enters its shell at the last sample each list
+        # serves and turns it a little: a list sized one step short misses it
+        row = [SphereObstacle((c, 0.02, 0.0), 0.01) for c in np.arange(0.55, 1.5, 0.003)]
+        scene = Scene(
+            obstacles=row,
+            start=(0.0, 0.0, 0.0),
+            goal=(10.0, 0.0, 0.0),
+            workspace=WorkspaceBounds((-1.0, -1.0, -1.0), (11.0, 1.0, 1.0)),
+        )
+        cfg = PlannerConfig(n_agents=1, horizon=50)
+        agents = make_agents(make_params(1, k_p=1000.0, k_r=1e-3, r_d=0.3), cfg)
+        agents[0].state = AgentKinematics(scene.start, np.array([cfg.v_max, 0.0, 0.0]))
+        (got,), vel = rollout(agents, scene, cfg)
+        assert np.allclose(norms(vel[0]), cfg.v_max, rtol=1e-12, atol=0.0)
+        monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
+        (want,), want_vel = rollout(agents, scene, cfg)
+        assert vel.tobytes() == want_vel.tobytes()
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.clearances.tobytes() == want.clearances.tobytes()
+
+    def test_execute_equals_whole_scene_execute(self, monkeypatch):
+        # a default-settings plan, start clearance and every replan included
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        cfg = PlannerConfig(max_steps=60, master_seed=4, jacobian=JACOBIAN)
+        got = execute(scene, LOCKSTEP_P, cfg, WEIGHTS)
+        monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
+        want = execute(scene, LOCKSTEP_P, cfg, WEIGHTS)
+        assert got.trajectory.positions.tobytes() == want.trajectory.positions.tobytes()
+        assert got.trajectory.clearances.tobytes() == want.trajectory.clearances.tobytes()
+        assert got.best_agent_history == want.best_agent_history
+
+
 class TestExecute:
     def test_zero_params_stay_put(self):
         scene = obstruction_scene()
@@ -309,6 +378,7 @@ class TestExecute:
         final = result.trajectory.positions[-1]
         assert np.linalg.norm(final - scene.goal) <= cfg.goal_tolerance
         assert result.min_clearance == EMPTY_CLEARANCE
+        assert np.all(result.trajectory.clearances == EMPTY_CLEARANCE)  # start included
 
     def test_replan_cadence(self):
         scene = obstruction_scene()

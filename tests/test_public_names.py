@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cfplan import labeling, planner
+from cfplan import cost, labeling, planner
 from cfplan.cost import AgentCostWeights, TrajectoryCostWeights
 from cfplan.planner import PlannerConfig
 from tests.conftest import make_params, obstruction_scene
@@ -41,6 +41,17 @@ def test_execute_runs_public_rollout_and_batch_currents(monkeypatch):
     assert len(rollouts) == len(result.best_agent_history) > 0
     assert all(len(trajs) == CFG.n_agents for trajs, _ in rollouts)
     assert sum(rows.shape[0] for rows in currents) > 0
+
+
+def test_costs_scan_through_public_surface_clearances(monkeypatch):
+    # the tracer counts clearance pairs on cost.surface_clearances
+    scans = record_results(monkeypatch, cost, "surface_clearances")
+    scene = obstruction_scene()
+    traj = planner.execute(scene, make_params(k_p=10.0, k_v=5.0), CFG, AgentCostWeights()).trajectory
+    assert len(scans) > 0  # the start sample and every rollout's agent_cost
+    scans.clear()
+    cost.trajectory_cost(traj, scene, TrajectoryCostWeights())
+    assert sum(rows.shape[0] for rows in scans) == len(traj) - 1
 
 
 def test_label_scene_set_runs_public_label_scene(monkeypatch, tmp_path):
