@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cfplan.cost import (
-    CLEARANCE_CHUNK,
     D_CLAMP,
+    LIST_BLOCK,
     AgentCostWeights,
     TrajectoryCostWeights,
     agent_cost,
@@ -62,7 +62,7 @@ class TestSurfaceClearances:
         assert np.all(np.isinf(d))
 
     def test_chunking_invisible(self):
-        # 700 rows span 44 blocks of CLEARANCE_CHUNK = 16, the last one partial
+        # 700 rows span 11 blocks of CLEARANCE_CHUNK = 64, the last one partial
         rng = np.random.default_rng(0)
         pos = rng.uniform(-1, 1, (700, 3))
         centers = rng.uniform(-1, 1, (5, 3))
@@ -82,16 +82,26 @@ def desk_path(scene: Scene, n: int) -> np.ndarray:
 
 class TestSceneClearances:
     def test_desk_path_equals_whole_scene_scan(self):
-        # 613 rows: 38 full blocks of CLEARANCE_CHUNK and a partial one,
+        # 613 rows: 38 full blocks of LIST_BLOCK and a partial one,
         # each listing a small part of the scene
         scene = randomize_scene(default_desk_randomizer(), 0)
         rows = desk_path(scene, 613)
-        assert rows.shape[0] % CLEARANCE_CHUNK
-        assert scene.neighbour_list(rows[:CLEARANCE_CHUNK], 0.0).size < scene.radii.size // 4
+        assert rows.shape[0] % LIST_BLOCK
+        assert scene.neighbour_list(rows[:LIST_BLOCK], 0.0).size < scene.radii.size // 4
         got = scene_clearances(rows, scene)
         want = surface_clearances(rows, scene.centers, scene.radii)
         assert (got < 0.0).any() and (got > 0.0).any()
         assert got.tobytes() == want.tobytes()
+
+    def test_block_listing_the_whole_scene(self):
+        # a block of rows scattered over the desk lists every sphere, so it
+        # and the path after it are scanned against the whole scene
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        scattered = np.random.default_rng(0).uniform(-0.8, 1.0, (LIST_BLOCK, 3))
+        assert scene.neighbour_list(scattered, 0.0).size == scene.radii.size
+        rows = np.concatenate([desk_path(scene, 40), scattered, desk_path(scene, 40)])
+        want = surface_clearances(rows, scene.centers, scene.radii)
+        assert scene_clearances(rows, scene).tobytes() == want.tobytes()
 
     def test_one_sphere(self):
         scene = obstruction_scene()
@@ -246,7 +256,7 @@ class TestBruteForceAgreement:
             traj = execute(scene, untuned_baseline(), BENCH_CFG, AgentCostWeights()).trajectory
         else:
             traj = traj_of(desk_path(scene, 75))
-        assert len(traj) > 2 * CLEARANCE_CHUNK
+        assert len(traj) > 2 * LIST_BLOCK
         aw, tw = AgentCostWeights(), TrajectoryCostWeights()
         assert agent_cost(traj, scene, aw) == pytest.approx(brute_agent_cost(traj, scene, aw), rel=1e-12)
         got = trajectory_cost(traj, scene, tw)
