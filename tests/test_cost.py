@@ -258,9 +258,10 @@ class TestBruteForceAgreement:
             traj = traj_of(desk_path(scene, 75))
         assert len(traj) > 2 * LIST_BLOCK
         aw, tw = AgentCostWeights(), TrajectoryCostWeights()
-        assert agent_cost(traj, scene, aw) == pytest.approx(brute_agent_cost(traj, scene, aw), rel=1e-12)
-        got = trajectory_cost(traj, scene, tw)
-        assert got == pytest.approx(brute_trajectory_cost(traj, scene, tw), rel=1e-12)
+        want = brute_agent_cost(traj, scene, aw)
+        assert agent_cost(traj, scene, aw) == pytest.approx(want, rel=1e-12)
+        want = brute_trajectory_cost(traj, scene, tw)
+        assert trajectory_cost(traj, scene, tw) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_trajectory_cost(self, seed):
