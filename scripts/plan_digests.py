@@ -32,8 +32,13 @@ one that raises on half the box and so scores ``PENALTY``), plus one short
 ``tune_scene`` of the obstruction scene.  The ``scenes`` line hashes the
 centers, radii and goal of ``randomize_scene`` on desk seeds 0-39 and on the
 two unseen desk scenes, and the ``nn`` line hashes ``Scene.nn_centers`` on
-the same scenes.  These four lines and the ``default/`` ones stay out of
-``all`` so that ``all`` compares with checkouts that print none of them.
+the same scenes.  The ``subsample`` line hashes farthest-point subsamples of
+clouds full of distance ties: a permuted lattice, that lattice twice over,
+40 points a hundred times over, points on a line, tight clusters, a cloud
+with half its points coincident, 20k Gaussian points, and the raw surface
+cloud of an unseen desk scene.  These five lines and the ``default/`` ones
+stay out of ``all`` so that ``all`` compares with checkouts that print none
+of them.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from cfplan import (
     AgentCostWeights,
+    PointCloud,
     BoResult,
     BoundsBox,
     HeuristicKind,
@@ -60,6 +67,7 @@ from cfplan import (
     obstruction_scene,
     randomize_scene,
     scene_surface_cloud,
+    subsample,
     trajectory_cost,
     tune_scene,
 )
@@ -167,6 +175,36 @@ def nn_digest() -> str:
     return h.hexdigest()
 
 
+def raw_surface_cloud(scene: Scene) -> PointCloud:
+    """``scene_surface_cloud``'s draw before it is subsampled."""
+    with mock.patch("cfplan.labeling.subsample", lambda cloud, n_points: cloud):
+        return scene_surface_cloud(scene)
+
+
+def subsample_cases():
+    rng = np.random.default_rng(7)
+    grid = np.stack(np.meshgrid(*[np.arange(12.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = rng.permutation(grid)
+    for k in (300, 1000, len(lattice) - 1):
+        yield lattice, k
+    yield rng.permutation(np.vstack([lattice, lattice])), 1000
+    yield rng.permutation(np.repeat(rng.uniform(-1.0, 1.0, size=(40, 3)), 100, axis=0)), 600
+    yield np.outer(rng.uniform(-1.0, 1.0, size=3000), [0.3, -0.7, 0.2]) + 0.1, 500
+    centres = rng.uniform(-1.0, 1.0, size=(8, 3))
+    yield np.repeat(centres, 400, axis=0) + rng.normal(scale=1e-3, size=(3200, 3)), 700
+    spread = rng.uniform(-1.0, 1.0, size=(1500, 3))
+    yield rng.permutation(np.vstack([spread, np.tile(spread[:1], (1500, 1))])), 800
+    yield rng.standard_normal((20000, 3)), 2500
+    yield raw_surface_cloud(randomize_scene(default_desk_randomizer(), QUERY_SCENES[0])).points, 600
+
+
+def subsample_digest() -> str:
+    h = hashlib.sha256()
+    for points, k in subsample_cases():
+        h.update(subsample(PointCloud(points), k).points.tobytes())
+    return h.hexdigest()
+
+
 def six_hump_camel(x: np.ndarray) -> float:
     """Six local minima, two of them global (about -1.0316)."""
     a, b = float(x[0]), float(x[1])
@@ -224,6 +262,7 @@ def main() -> int:
     print(f"tuning {tuning_digest()}")
     print(f"scenes {scenes_digest()}")
     print(f"nn {nn_digest()}")
+    print(f"subsample {subsample_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 
