@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -23,6 +24,11 @@ from scipy.spatial import cKDTree
 Vec3 = np.ndarray  # shape (3,), float64
 
 _SQRT3 = math.sqrt(3.0)
+
+# farthest-point subsampling: candidates per batch of exact picks, and the
+# share of the cloud below which a pick's ball no longer updates every point
+FPS_BATCH = 256
+WHOLE_SHARE = 32
 
 
 def as_vec3(value) -> Vec3:
@@ -49,7 +55,7 @@ def voxel_edge(voxel_radius: float) -> float:
     return 2.0 * voxel_radius / _SQRT3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereObstacle:
     """A single spherical obstacle with its artificial-current bookkeeping left
     to the planner; this type is pure geometry."""
@@ -232,9 +238,7 @@ class Scene:
         if n < 2:
             return None
         d_nn = self.tree.query(centers, k=2)[0][:, 1]
-        balls = self.tree.query_ball_point(centers, _slack(d_nn))
-        i = np.repeat(np.arange(n), [len(b) for b in balls])
-        j = np.fromiter((k for b in balls for k in b), dtype=np.intp, count=i.size)
+        i, j = _ball_pairs(self.tree, centers, _slack(d_nn))
         other = i != j
         i, j = i[other], j[other]
         d2 = ((centers[i] - centers[j]) ** 2).sum(axis=1)
@@ -394,28 +398,83 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
 
     Starts from the point nearest the cloud centroid and greedily adds the
     point farthest from the selected set; index order breaks ties, so the
-    result is deterministic.  Each pick ``nxt`` is the argmax of ``dist``,
-    so no point farther than ``r = dist[nxt]`` from it can lose distance:
-    only the points of one ball query of radius ``r`` are updated.
+    result is deterministic.  The picks are exactly those of the one-pick
+    loop that updates every point's distance ``dist`` after each pick, made
+    in batches:
+
+    - While a pick's ball (the points within ``r = dist[pick]`` of it) holds
+      at least 1/WHOLE_SHARE of the cloud, one pass updates every point.
+    - Then each batch takes as candidates the points above ``tau``, the
+      (FPS_BATCH + 1)-th largest ``dist`` (or, when the top values tie, the
+      largest value below the maximum, or -inf).  It picks the farthest
+      candidate (the lowest index on ties) and updates only the candidates,
+      while that candidate is farther than ``tau``: every other point is at
+      most ``tau`` away, and distances only fall, so it is the global pick.
+    - No other point is farther than ``tau``, so only picks within ``tau``
+      of it can bring it closer: one batched ball query of the batch's picks
+      updates the rest.
     """
     check_n_points(n_points)
     pts = cloud.points
     n = pts.shape[0]
     if n <= n_points:
         return PointCloud(pts.copy())
+    cols = np.ascontiguousarray(pts.T)
     centroid = pts.mean(axis=0)
     first = int(np.argmin(np.linalg.norm(pts - centroid, axis=1)))
-    chosen = np.empty(n_points, dtype=int)
-    chosen[0] = first
-    dist = np.linalg.norm(pts - pts[first], axis=1)
-    tree = cKDTree(pts)
-    for i in range(1, n_points):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        ball = tree.query_ball_point(pts[nxt], _slack(dist[nxt]))
-        idx = np.array(ball, dtype=np.intp)
-        dist[idx] = np.minimum(dist[idx], np.linalg.norm(pts[idx] - pts[nxt], axis=1))
+    chosen = [first]
+    dist = _distances(cols, cols[:, first, None])
+    while len(chosen) < n_points:
+        nxt = int(dist.argmax())
+        chosen.append(nxt)
+        d = _distances(cols, cols[:, nxt, None])
+        in_ball = np.count_nonzero(d <= dist[nxt])
+        np.minimum(dist, d, out=dist)
+        if WHOLE_SHARE * in_ball < n:
+            break
+    if len(chosen) < n_points:
+        tree = cKDTree(pts, balanced_tree=False)
+    rest = n - FPS_BATCH  # points that a full batch leaves out of its candidates
+    while len(chosen) < n_points:
+        tau = np.partition(dist, rest - 1)[rest - 1] if rest > 0 else -math.inf
+        cand = np.flatnonzero(dist > tau)
+        if cand.size == 0:  # the top FPS_BATCH + 1 values tie
+            below = dist[dist < tau]
+            tau = below.max() if below.size else -math.inf
+            cand = np.flatnonzero(dist > tau)
+        cd = dist[cand]
+        cand_cols = cols[:, cand]
+        start = len(chosen)
+        while len(chosen) < n_points:
+            j = int(cd.argmax())
+            if not cd[j] > tau:
+                break
+            chosen.append(cand[j])
+            np.minimum(cd, _distances(cand_cols, cand_cols[:, j, None]), out=cd)
+        picks = chosen[start:]
+        dist[cand] = cd
+        if cand.size < n:
+            owner, index = _ball_pairs(tree, pts[picks], _slack(tau))
+            np.minimum.at(dist, index, _distances(cols[:, index], cols[:, picks][:, owner]))
     return PointCloud(pts[chosen])
+
+
+def _distances(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances between the columns of (3, m) ``cols`` and of ``p``, (3, m)
+    or (3, 1), rounded exactly as ``np.linalg.norm(axis=1)`` rounds the
+    distances of the same rows."""
+    sq = cols - p
+    sq *= sq
+    return np.sqrt((sq[0] + sq[1]) + sq[2])
+
+
+def _ball_pairs(tree: cKDTree, points: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """One batched ball query, flattened: tree point ``index[k]`` lies within
+    ``radius`` of row ``owner[k]`` of ``points``, in no particular order."""
+    balls = tree.query_ball_point(points, radius, return_sorted=False)
+    owner = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
+    index = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
+    return owner, index
 
 
 def _cell_centers(cells: np.ndarray, edge: float) -> np.ndarray:

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfplan import scene as scene_mod
+from cfplan.labeling import scene_surface_cloud
 from cfplan.scene import (
+    FPS_BATCH,
     Cuboid,
     Cylinder,
     DepthImage,
@@ -324,6 +327,36 @@ def _fps_clouds() -> dict[str, np.ndarray]:
 FPS_CLOUDS = _fps_clouds()
 
 
+def _batch_clouds() -> dict[str, tuple[np.ndarray, tuple[int, ...]]]:
+    """Clouds larger than FPS_BATCH, each with the sizes it is subsampled to."""
+    rng = np.random.default_rng(12)
+    grid = np.stack(np.meshgrid(*[np.arange(12.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = rng.permutation(grid)
+    return {
+        # exact ties at tau
+        "lattice12": (lattice, (300, 1000, len(lattice) - 1)),
+        # every distance at least twice: the top values tie, so tau falls to
+        # the largest value below the maximum
+        "lattice12_twice": (rng.permutation(np.vstack([lattice, lattice])), (300, 1000)),
+        # 40 distinct points a hundred times over: r reaches 0 after 40 picks
+        "copies": (
+            rng.permutation(np.repeat(rng.uniform(-1.0, 1.0, size=(40, 3)), 100, axis=0)),
+            (600,),
+        ),
+        "gaussian": (rng.standard_normal((20000, 3)), (2500,)),
+    }
+
+
+BATCH_CLOUDS = _batch_clouds()
+
+
+def raw_desk_cloud(seed: int, monkeypatch) -> PointCloud:
+    """``scene_surface_cloud``'s draw for a desk scene before it is subsampled."""
+    with monkeypatch.context() as m:
+        m.setattr("cfplan.labeling.subsample", lambda cloud, n_points: cloud)
+        return scene_surface_cloud(randomize_scene(default_desk_randomizer(), seed))
+
+
 class TestSubsample:
     @pytest.mark.parametrize("name", sorted(FPS_CLOUDS))
     @pytest.mark.parametrize("which", ["1", "2", "third", "n-1", "n"])
@@ -344,6 +377,35 @@ class TestSubsample:
         cloud = PointCloud(np.array(cells, dtype=float) * scale)
         k = 1 + int(frac * (len(cloud) - 1))
         assert np.array_equal(subsample(cloud, k).points, fps_reference(cloud, k).points)
+
+    @pytest.mark.parametrize(
+        "name, k", [(name, k) for name, (_, ks) in BATCH_CLOUDS.items() for k in ks]
+    )
+    def test_batches_match_brute_force_reference(self, name, k):
+        cloud = PointCloud(BATCH_CLOUDS[name][0])
+        assert len(cloud) > FPS_BATCH
+        assert np.array_equal(subsample(cloud, k).points, fps_reference(cloud, k).points)
+
+    def test_desk_cloud_matches_reference(self, monkeypatch):
+        cloud = raw_desk_cloud(3, monkeypatch)
+        assert np.array_equal(subsample(cloud, 600).points, fps_reference(cloud, 600).points)
+
+    def test_batches_make_several_picks(self, monkeypatch):
+        # the picks after the whole-cloud passes come in far fewer batches,
+        # one ball query each, than picks
+        batches = []
+        ball_pairs = scene_mod._ball_pairs
+
+        def spy(tree, points, radius):
+            batches.append(len(points))
+            return ball_pairs(tree, points, radius)
+
+        monkeypatch.setattr(scene_mod, "_ball_pairs", spy)
+        cloud = PointCloud(BATCH_CLOUDS["gaussian"][0])
+        out = subsample(cloud, 2500)
+        assert np.array_equal(out.points, fps_reference(cloud, 2500).points)
+        assert max(batches) > 1
+        assert len(batches) < sum(batches) / 10
 
     def test_starts_nearest_centroid(self):
         pts = np.array([[0.0, 0, 0], [10.0, 0, 0], [5.2, 0, 0], [4.0, 0, 0]])
@@ -592,6 +654,13 @@ class TestValidation:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             SphereObstacle(center=(0, 0, 0), radius=0.0)
+
+    def test_obstacle_has_slots_and_stays_frozen(self):
+        # slots keep the thousands of obstacles of a desk scene small
+        obstacle = SphereObstacle(center=(0, 0, 0), radius=0.1)
+        assert not hasattr(obstacle, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obstacle.radius = 0.2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.1", 0.0, -0.1])
     def test_primitive_sizes_finite_and_positive(self, bad):
