@@ -18,7 +18,7 @@ from .fields import (
     repulsive_force,
     steering_force,
 )
-from .gp import gp_fit, gp_predict
+from .gp import gp_fit
 from .heuristics import HeuristicKind, agent_heuristic, compute_current
 from .inference import SceneDescriptor, featurize, knn_predict
 from .labeling import (
@@ -33,13 +33,11 @@ from .labeling import (
 )
 from .params import BoundsBox, default_bounds, param_dim, validate_params
 from .planner import (
-    Agent,
+    Committee,
     PlanResult,
     PlannerConfig,
     Trajectory,
     execute,
-    integrate_step,
-    make_agents,
     plan_step,
     rollout,
 )

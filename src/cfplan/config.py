@@ -37,6 +37,14 @@ class RunConfig:
     n_iter: int = 48
     knn_k: int = 3
 
+    def __post_init__(self):
+        # the limits bo_minimize and knn_predict enforce, checked at load
+        if self.n_init < 2 or self.n_iter < 0 or self.knn_k < 1:
+            raise ValueError(
+                f"need tuner.n_init >= 2, tuner.n_iter >= 0 and knn_k >= 1, got "
+                f"{self.n_init}, {self.n_iter} and {self.knn_k}"
+            )
+
 
 def default_run_config() -> RunConfig:
     return RunConfig(

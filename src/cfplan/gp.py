@@ -177,7 +177,7 @@ def gp_fit(observations, bounds: BoundsBox | None = None) -> GpModel:
 
 def gp_predict_batch(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation of the latent function at each
-    row of ``points`` (original units)."""
+    row of ``points`` (original units); a 1-D ``points`` is one point."""
     q = np.asarray(points, dtype=float)
     if q.ndim == 1:
         q = q[None, :]
@@ -189,8 +189,3 @@ def gp_predict_batch(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, np
     var = np.maximum(model.signal_var - (w * w).sum(axis=0), 0.0)
     std = model.y_scale * np.sqrt(var)
     return mean, std
-
-
-def gp_predict(model: GpModel, point: np.ndarray) -> tuple[float, float]:
-    mean, std = gp_predict_batch(model, np.asarray(point, dtype=float)[None, :])
-    return float(mean[0]), float(std[0])

@@ -268,11 +268,15 @@ def sample_from_dict(d: dict) -> LabeledSample:
     points = np.asarray(d["points"], dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must be an (n, 3) list")
+    p_star, best_cost = np.asarray(d["p_star"], dtype=float), float(d["best_cost"])
+    for key, value in (("points", points), ("p_star", p_star), ("best_cost", best_cost)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key} must hold only finite numbers")
     return LabeledSample(
         scene_id=json_integer("scene_id", d["scene_id"]),
         points=points,
-        p_star=np.asarray(d["p_star"], dtype=float),
-        best_cost=float(d["best_cost"]),
+        p_star=p_star,
+        best_cost=best_cost,
     )
 
 

@@ -74,6 +74,8 @@ class BoundsBox:
         hi = np.asarray(self.high, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise ValueError("low and high must have the same length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("low and high must be finite")
         if np.any(lo >= hi):
             raise ValueError("low must be strictly below high per dimension")
         object.__setattr__(self, "low", lo)

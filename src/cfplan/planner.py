@@ -12,8 +12,9 @@ One lockstep kernel, ``_simulate``, does all simulation.  It advances an
 (A, 3) state for every agent at once: per step one (A, m) surface-distance
 pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
 (``heuristics.batch_currents``, dispatching on each pair's heuristic), and
-per-agent sums of the obstacle forces.  ``rollout`` runs it with the agents
-``plan_step`` is given.  Every agent's result is bitwise the one it would get
+per-agent sums of the obstacle forces.  ``rollout`` runs it from (A, 3)
+state arrays for a ``Committee``, which ``execute`` builds once per plan from
+the parameter vector.  Every agent's result is bitwise the one it would get
 alone: the kernel keeps each rounding step of the per-agent computation (see
 ``cfplan.vec3``).
 
@@ -49,10 +50,10 @@ from functools import cached_property
 import numpy as np
 
 from .cost import AgentCostWeights, agent_cost, scene_clearances
-from .fields import RHO_MIN, AgentKinematics, GainSet, manipulability_force
+from .fields import RHO_MIN, GainSet, manipulability_force
 from .heuristics import HeuristicKind, agent_heuristic, batch_currents
-from .params import agent_gains, detection_radius, validate_params
-from .scene import Scene, as_vec3, finite_real
+from .params import detection_radius, split_params, validate_params
+from .scene import Scene, finite_real
 from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
@@ -94,6 +95,8 @@ class PlannerConfig:
             j = np.asarray(self.jacobian, dtype=float)
             if j.ndim != 2 or j.shape[0] != 3:
                 raise ValueError("jacobian must have shape (3, n)")
+            if not np.isfinite(j).all():
+                raise ValueError("jacobian must be finite")
             object.__setattr__(self, "jacobian", j)
 
     @cached_property
@@ -131,15 +134,6 @@ class Trajectory:
         return self.times.shape[0]
 
 
-@dataclass
-class Agent:
-    id: int  # 1-based
-    heuristic: HeuristicKind
-    gains: GainSet
-    r_d: float
-    state: AgentKinematics
-
-
 @dataclass(frozen=True)
 class PlanResult:
     trajectory: Trajectory
@@ -159,22 +153,13 @@ def _euler_step(x, v, force, mass: float, dt: float, v_max: float):
     return x + dt * v, v
 
 
-def integrate_step(
-    kin: AgentKinematics, force, mass: float, dt: float, v_max: float
-) -> AgentKinematics:
-    """One semi-implicit Euler step: update velocity from the force, cap its
-    norm at v_max, then advance the position with the new velocity."""
-    x, v = _euler_step(
-        kin.position[None], kin.velocity[None], as_vec3(force)[None], mass, dt, v_max
-    )
-    return AgentKinematics(x[0], v[0])
-
-
 @dataclass(frozen=True)
-class _Committee:
-    """The agents simulated together: gains as (A,) arrays, or (A, 1)
-    columns where they scale (A, 3) rows."""
+class Committee:
+    """The planner's agents 1..A: their heuristics, and their gains as (A,)
+    arrays, or (A, 1) columns where they scale (A, 3) rows.  The detection
+    radius is shared."""
 
+    ids: tuple[int, ...]  # 1-based
     kinds: tuple[HeuristicKind, ...]
     k_p: np.ndarray  # (A, 1)
     k_v: np.ndarray  # (A, 1)
@@ -184,29 +169,40 @@ class _Committee:
     circling: np.ndarray  # (A,) k_cf != 0
     repelling: np.ndarray  # (A,) k_r != 0
     k_r: np.ndarray  # (A,)
-    inv_r_d: np.ndarray  # (A,) 1 / max(r_d, RHO_MIN)
+    inv_r_d: float  # 1 / max(r_d, RHO_MIN)
 
     @classmethod
-    def of(cls, agents: list[Agent]) -> _Committee:
-        def col(values):
-            return np.array(values, dtype=float)[:, None]
-
-        g = [a.gains for a in agents]
-        k_cf = np.array([x.k_cf for x in g])
-        k_r = np.array([x.k_r for x in g])
-        r_d = np.array([a.r_d for a in agents])
+    def of(cls, p: np.ndarray, cfg: PlannerConfig) -> Committee:
+        """Agents 1..cfg.n_agents with gains sliced out of the flat vector."""
+        p = validate_params(p, cfg.n_agents).copy()
+        g = split_params(p, cfg.n_agents)
+        r_d = detection_radius(p)
+        ids = tuple(range(1, cfg.n_agents + 1))
+        circling, repelling = g["k_cf"] != 0.0, g["k_r"] != 0.0
         return cls(
-            kinds=tuple(a.heuristic for a in agents),
-            k_p=col([x.k_p for x in g]),
-            k_v=col([x.k_v for x in g]),
-            k_cf=k_cf[:, None],
-            k_manip=col([x.k_manip for x in g]),
-            reach=np.where((k_cf != 0.0) | (k_r != 0.0), r_d, -np.inf)[:, None],
-            circling=k_cf != 0.0,
-            repelling=k_r != 0.0,
-            k_r=k_r,
-            inv_r_d=np.array([1.0 / max(a.r_d, RHO_MIN) for a in agents]),
+            ids=ids,
+            kinds=tuple(agent_heuristic(i) for i in ids),
+            k_p=g["k_p"][:, None],
+            k_v=g["k_v"][:, None],
+            k_cf=g["k_cf"][:, None],
+            k_manip=g["k_manip"][:, None],
+            reach=np.where(circling | repelling, r_d, -np.inf)[:, None],
+            circling=circling,
+            repelling=repelling,
+            k_r=g["k_r"],
+            inv_r_d=1.0 / max(r_d, RHO_MIN),
         )
+
+    def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
+        """Each agent's own random stream, fresh from ``(master_seed, id)``;
+        None for deterministic heuristics."""
+        seed = cfg.master_seed & _SEED_MASK
+        return [
+            np.random.default_rng(np.random.SeedSequence([seed, i]))
+            if kind is HeuristicKind.RANDOM
+            else None
+            for i, kind in zip(self.ids, self.kinds)
+        ]
 
 
 def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
@@ -228,7 +224,7 @@ def _subset(idx, agent, keep):
     return idx.take(sel), agent.take(sel)
 
 
-def _forces(x, v, offsets, dist, surf, goal, nn, com: _Committee, rngs, manip_pull):
+def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pull):
     """Steering force on every agent of the committee, (A, 3).
 
     ``offsets`` (A, n, 3) holds x - center per listed obstacle, ``dist``
@@ -257,7 +253,7 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: _Committee, rngs, manip_pu
         if ri.size:
             rho = np.maximum(surf.take(ri), RHO_MIN)
             d = np.maximum(dist.take(ri), 1e-12)
-            mag = com.k_r.take(ra) * (1.0 / rho - com.inv_r_d.take(ra)) / rho**2
+            mag = com.k_r.take(ra) * (1.0 / rho - com.inv_r_d) / rho**2
             push, has = _agent_sums(
                 n_agents, ra, (flat.take(ri, axis=0) / d[:, None]) * mag[:, None]
             )
@@ -272,7 +268,7 @@ def _simulate(
     v: np.ndarray,
     n_steps: int,
     scene: Scene,
-    com: _Committee,
+    com: Committee,
     cfg: PlannerConfig,
     rngs,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -319,61 +315,38 @@ def _simulate(
         i += 1
 
 
-def make_agents(p: np.ndarray, cfg: PlannerConfig) -> list[Agent]:
-    """Agents 1..n_agents with gains sliced out of the flat parameter vector,
-    each at rest at the origin."""
-    p = validate_params(p, cfg.n_agents)
-    state = AgentKinematics(np.zeros(3), np.zeros(3))
-    r_d = detection_radius(p)
-    return [
-        Agent(
-            id=i + 1,
-            heuristic=agent_heuristic(i + 1),
-            gains=agent_gains(p, i, cfg.n_agents),
-            r_d=r_d,
-            state=state,
-        )
-        for i in range(cfg.n_agents)
-    ]
-
-
-def _rollout_rng(cfg: PlannerConfig, agent: Agent) -> np.random.Generator | None:
-    """The agent's own random stream; None for deterministic heuristics."""
-    if agent.heuristic is not HeuristicKind.RANDOM:
-        return None
-    return np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed & _SEED_MASK, agent.id])
-    )
-
-
 def rollout(
-    agents: list[Agent], scene: Scene, cfg: PlannerConfig
+    com: Committee, x: np.ndarray, v: np.ndarray, scene: Scene, cfg: PlannerConfig
 ) -> tuple[list[Trajectory], np.ndarray]:
     """Simulate ``max(cfg.horizon, cfg.replan_every)`` steps of every agent's
-    field from its own state, all agents in lockstep, so that each rollout
-    covers a committed segment.  Returns one trajectory per agent, in order,
-    and their per-sample velocities (A, k+1, 3)."""
-    x = np.stack([a.state.position for a in agents])
-    v = np.stack([a.state.velocity for a in agents])
-    rngs = [_rollout_rng(cfg, a) for a in agents]
+    field from its own row of the (A, 3) states (x, v), all agents in
+    lockstep, so that each rollout covers a committed segment.  Returns one
+    trajectory per agent, in order, and their per-sample velocities
+    (A, k+1, 3)."""
+    if x.shape != (len(com.ids), 3) or v.shape != x.shape:
+        raise ValueError(f"x and v must have shape ({len(com.ids)}, 3)")
     n_steps = max(cfg.horizon, cfg.replan_every)
-    pos, clr, vel = _simulate(x, v, n_steps, scene, _Committee.of(agents), cfg, rngs)
+    pos, clr, vel = _simulate(x, v, n_steps, scene, com, cfg, com.rngs(cfg))
     times = np.arange(n_steps + 1) * cfg.dt
-    return [Trajectory(times, pos[k], clr[k]) for k in range(len(agents))], vel
+    return [Trajectory(times, pos[k], clr[k]) for k in range(len(com.ids))], vel
 
 
 def plan_step(
-    agents: list[Agent],
+    com: Committee,
+    x: np.ndarray,
+    v: np.ndarray,
     scene: Scene,
     cfg: PlannerConfig,
     weights: AgentCostWeights,
 ) -> tuple[int, Trajectory, np.ndarray]:
-    """Roll out every agent from its current state and return the one with
-    the lowest agent_cost (ties go to the lowest id): its id, its rollout and
-    the rollout's per-sample velocities."""
-    trajs, vel = rollout(agents, scene, cfg)
+    """Roll out every agent from the shared state (x, v), each (3,), and
+    return the one with the lowest agent_cost (ties go to the lowest id): its
+    id, its rollout and the rollout's per-sample velocities."""
+    n = len(com.ids)
+    xs, vs = np.repeat(x[None], n, axis=0), np.repeat(v[None], n, axis=0)
+    trajs, vel = rollout(com, xs, vs, scene, cfg)
     best = int(np.argmin([agent_cost(traj, scene, weights) for traj in trajs]))
-    return agents[best].id, trajs[best], vel[best]
+    return com.ids[best], trajs[best], vel[best]
 
 
 def execute(
@@ -386,7 +359,7 @@ def execute(
 
     Deterministic: the result is a pure function of (scene, p, cfg, weights).
     """
-    agents = make_agents(p, cfg)
+    com = Committee.of(p, cfg)
     x = scene.start
     v = np.zeros(3)
     if scene.radii.shape[0]:
@@ -398,10 +371,7 @@ def execute(
     reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
     steps_used = 0
     while not reached and steps_used < cfg.max_steps:
-        kin = AgentKinematics(x, v)
-        for a in agents:
-            a.state = kin
-        best_id, traj, vel = plan_step(agents, scene, cfg, weights)
+        best_id, traj, vel = plan_step(com, x, v, scene, cfg, weights)
         history.append((steps_used, best_id))
         n = min(cfg.replan_every, cfg.max_steps - steps_used)
         gap = scene.goal - traj.positions[1 : n + 1]

@@ -4,6 +4,7 @@ file side effects."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,9 +328,13 @@ class TestPlan:
             ("planner", "mass", float("-inf")),
             ("planner", "v_max", True),
             ("planner", "goal_tolerance", None),
+            ("planner", "jacobian", [[float("nan")] * 3] * 3),
             ("tuner", "n_init", 8.7),
             ("tuner", "n_iter", "0"),
+            ("tuner", "n_init", 1),
+            ("tuner", "n_iter", -3),
             (None, "knn_k", 2.5),
+            (None, "knn_k", 0),
             ("agent_weights", "obstacle", "0.5"),
             ("agent_weights", "workspace", float("inf")),
             ("trajectory_weights", "clearance", True),
@@ -405,6 +410,24 @@ class TestInfer:
         )
         assert code == 0
         assert np.allclose(io.load_params(out_path), json.loads(stdout))
+
+    @pytest.mark.parametrize("key", ["p_star", "points"])
+    def test_non_finite_dataset_is_usage_error(self, tmp_path, capsys, cheap_config, key):
+        # NaN in a stored label would otherwise reach stdout as non-JSON NaN
+        dataset = Path(self.make_dataset(tmp_path))
+        records = [json.loads(line) for line in dataset.read_text().splitlines()]
+        records[1][key][0] = [float("nan")] * 3 if key == "points" else float("inf")
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cloud_path = tmp_path / "cloud.csv"
+        rng = np.random.default_rng(1)
+        io.save_cloud_csv(io.PointCloud(rng.uniform(-0.4, 0.4, (50, 3))), cloud_path)
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--cloud", str(cloud_path), "--dataset", str(dataset),
+            "--config", cheap_config,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"d.jsonl:2: bad dataset record: {key} must hold only finite numbers" in stderr
 
     def test_empty_dataset(self, tmp_path, capsys, cheap_config):
         dataset = tmp_path / "empty.jsonl"

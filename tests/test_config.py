@@ -47,6 +47,14 @@ class TestMerging:
         assert cfg.planner.dt == 0.02
         assert cfg.planner.replan_every == 5  # untouched default
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_jacobian_rejected(self, tmp_path, literal):
+        path = tmp_path / "run.json"
+        rows = [[literal, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path.write_text(json.dumps({"planner": {"jacobian": rows}}).replace(f'"{literal}"', literal))
+        with pytest.raises(ValueError, match="jacobian must be finite"):
+            load_run_config(path)
+
     def test_jacobian_list_converted(self):
         jac = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         cfg = run_config_from_dict({"planner": {"jacobian": jac}})
@@ -118,6 +126,22 @@ class TestBoundsSection:
         with pytest.raises(ValueError, match="bounds must hold only numbers"):
             run_config_from_dict({"bounds": bounds})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"gain_high": NaN}',
+            '{"r_d_range": [0.05, Infinity]}',
+            '{"r_d_range": [-Infinity, 1.0]}',
+            '{"gain_high": 1e999}',
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        # json reads these as floats, and NaN passes a lo >= hi check
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"bounds": {text}}}')
+        with pytest.raises(ValueError, match="low and high must be finite"):
+            load_run_config(path)
+
 
 class TestRandomizerSection:
     def test_workspace_and_counts(self):
@@ -179,6 +203,20 @@ class TestRejection:
     def test_unknown_tuner_key(self):
         with pytest.raises(ValueError, match="tuner"):
             run_config_from_dict({"tuner": {"iters": 5}})
+
+    @pytest.mark.parametrize(
+        "data", [{"knn_k": 0}, {"tuner": {"n_init": 1}}, {"tuner": {"n_iter": -3}}]
+    )
+    def test_out_of_range_run_integers(self, tmp_path, data):
+        # the limits knn_predict and bo_minimize enforce, checked at load
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="n_init >= 2, tuner.n_iter >= 0 and knn_k >= 1"):
+            load_run_config(path)
+
+    def test_run_integer_limits_are_legal(self):
+        cfg = run_config_from_dict({"knn_k": 1, "tuner": {"n_init": 2, "n_iter": 0}})
+        assert (cfg.knn_k, cfg.n_init, cfg.n_iter) == (1, 2, 0)
 
     def test_invalid_merged_values_propagate(self):
         with pytest.raises(ValueError):

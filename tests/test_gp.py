@@ -10,7 +10,6 @@ from scipy.spatial.distance import cdist
 from cfplan.gp import (
     DegenerateData,
     gp_fit,
-    gp_predict,
     gp_predict_batch,
     matern52,
 )
@@ -66,14 +65,6 @@ class TestDenseAgreement:
         assert np.all(np.abs(mean - mean_ref) <= 1e-8 * max(scale, 1.0))
         assert np.all(np.abs(std - std_ref) <= 1e-8 * max(float(std_ref.max()), 1.0))
 
-    def test_single_point_wrapper(self):
-        model = gp_fit(toy_observations())
-        q = np.array([0.3, 0.6])
-        mean, std = gp_predict(model, q)
-        batch_mean, batch_std = gp_predict_batch(model, q[None, :])
-        assert mean == batch_mean[0]
-        assert std == batch_std[0]
-
 
 class TestFitBehavior:
     def test_interpolates_smooth_data(self):
@@ -127,8 +118,9 @@ class TestConstantData:
 
     def test_single_observation(self):
         model = gp_fit([(np.array([0.5, 0.5]), 2.0)])
-        mean, _ = gp_predict(model, np.array([0.9, 0.1]))
-        assert mean == pytest.approx(2.0, abs=1e-9)
+        mean, _ = gp_predict_batch(model, np.array([0.9, 0.1]))  # one 1-D point
+        assert mean.shape == (1,)
+        assert mean[0] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestDegenerate:

@@ -288,6 +288,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"bad.jsonl:2: bad dataset record: {message}")):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("p_star", "NaN"),
+            ("points", "Infinity"),
+            ("points", "-Infinity"),
+            ("best_cost", "1e999"),
+            ("best_cost", "NaN"),
+        ],
+    )
+    def test_load_rejects_non_finite_numbers(self, tmp_path, key, literal):
+        # json reads NaN, Infinity and 1e999 as floats; the first 7777.0
+        # (no other entry has four integer digits) becomes the literal
+        path = tmp_path / "bad.jsonl"
+        good = sample_to_dict(self.sample())
+        marked = {"p_star": [7777.0] * 36, "points": [[1.0, 7777.0, 2.0]], "best_cost": 7777.0}
+        bad = json.dumps(dict(good, **{key: marked[key]})).replace("7777.0", literal, 1)
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        message = f"bad.jsonl:2: bad dataset record: {key} must hold only finite numbers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
     def test_load_stored_benchmark_dataset(self):
         samples = load_dataset(STORED_DATASET)
         assert len(samples) == 6

@@ -126,6 +126,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             BoundsBox(low=[0.0, 1.0], high=[1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_bounds(self, bad):
+        # NaN compares False with everything, so lo >= hi alone lets it through
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundsBox(low=[0.0, 1.0], high=[1.0, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundsBox(low=[bad, 1.0], high=[1.0, 2.0])
+
     def test_gain_names_cover_gainset(self):
         g = GainSet(k_p=1, k_v=2, k_cf=3, k_manip=4, k_r=5)
         for name in GAIN_NAMES:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from cfplan import planner
 from cfplan.cost import AgentCostWeights, agent_cost
 from cfplan.fields import AgentKinematics, steering_force
 from cfplan.heuristics import HeuristicKind, agent_heuristic, compute_current
+from cfplan.params import agent_gains, detection_radius
 from cfplan.planner import (
     EMPTY_CLEARANCE,
+    Committee,
     PlannerConfig,
     Trajectory,
     execute,
-    integrate_step,
-    make_agents,
     plan_step,
     rollout,
 )
@@ -34,33 +36,52 @@ from tests.conftest import BENCH_CFG, make_params, obstruction_scene, untuned_ba
 WEIGHTS = AgentCostWeights()
 
 
+def euler_step(x, v, force, mass: float, dt: float, v_max: float):
+    """One ``planner._euler_step`` of a single (3,) state."""
+    rows = (np.array([row], dtype=float) for row in (x, v, force))
+    x, v = planner._euler_step(*rows, mass, dt, v_max)
+    return x[0], v[0]
+
+
+def member(com: Committee, k: int) -> Committee:
+    """Agent ``k`` of ``com`` as a one-agent committee."""
+    return dataclasses.replace(
+        com,
+        **{f.name: getattr(com, f.name)[k : k + 1]
+           for f in dataclasses.fields(com) if f.name != "inv_r_d"},
+    )
+
+
+def alone(com: Committee, k: int, scene: Scene, cfg: PlannerConfig, x=None, v=None):
+    """Agent ``k``'s rollout on its own from (x[k], v[k]), or from rest at
+    the scene start."""
+    x = scene.start[None] if x is None else x[k : k + 1]
+    v = np.zeros((1, 3)) if v is None else v[k : k + 1]
+    return rollout(member(com, k), x, v, scene, cfg)[0][0]
+
+
 class TestIntegrateStep:
     def test_semi_implicit_order(self):
-        kin = AgentKinematics(np.zeros(3), np.zeros(3))
-        out = integrate_step(kin, (10.0, 0, 0), mass=1.0, dt=0.01, v_max=1.0)
-        assert np.allclose(out.velocity, [0.1, 0, 0], atol=1e-15)
+        x, v = euler_step(np.zeros(3), np.zeros(3), (10.0, 0, 0), mass=1.0, dt=0.01, v_max=1.0)
+        assert np.allclose(v, [0.1, 0, 0], atol=1e-15)
         # position moves with the NEW velocity
-        assert np.allclose(out.position, [0.001, 0, 0], atol=1e-15)
+        assert np.allclose(x, [0.001, 0, 0], atol=1e-15)
 
     def test_mass_scales_acceleration(self):
-        kin = AgentKinematics(np.zeros(3), np.zeros(3))
-        out = integrate_step(kin, (10.0, 0, 0), mass=2.0, dt=0.01, v_max=1.0)
-        assert np.allclose(out.velocity, [0.05, 0, 0], atol=1e-15)
+        _, v = euler_step(np.zeros(3), np.zeros(3), (10.0, 0, 0), mass=2.0, dt=0.01, v_max=1.0)
+        assert np.allclose(v, [0.05, 0, 0], atol=1e-15)
 
     def test_speed_cap(self):
-        kin = AgentKinematics(np.zeros(3), np.array([0.0, 0.9, 0.0]))
-        out = integrate_step(kin, (500.0, 0, 0), mass=1.0, dt=0.01, v_max=1.0)
-        assert np.linalg.norm(out.velocity) == pytest.approx(1.0)
+        _, v = euler_step(np.zeros(3), (0.0, 0.9, 0.0), (500.0, 0, 0), mass=1.0, dt=0.01, v_max=1.0)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_cap_preserves_direction(self):
-        kin = AgentKinematics(np.zeros(3), np.zeros(3))
-        out = integrate_step(kin, (300.0, 400.0, 0), mass=1.0, dt=1.0, v_max=1.0)
-        assert np.allclose(out.velocity, [0.6, 0.8, 0.0], atol=1e-12)
+        _, v = euler_step(np.zeros(3), np.zeros(3), (300.0, 400.0, 0), mass=1.0, dt=1.0, v_max=1.0)
+        assert np.allclose(v, [0.6, 0.8, 0.0], atol=1e-12)
 
     def test_zero_force_coasts(self):
-        kin = AgentKinematics(np.array([1.0, 0, 0]), np.array([0.5, 0, 0]))
-        out = integrate_step(kin, (0, 0, 0), mass=1.0, dt=0.1, v_max=1.0)
-        assert np.allclose(out.position, [1.05, 0, 0], atol=1e-15)
+        x, _ = euler_step((1.0, 0, 0), (0.5, 0, 0), (0, 0, 0), mass=1.0, dt=0.1, v_max=1.0)
+        assert np.allclose(x, [1.05, 0, 0], atol=1e-15)
 
 
 class TestTrajectory:
@@ -77,36 +98,73 @@ class TestTrajectory:
             Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros(0))
 
 
-class TestMakeAgents:
+class TestCommittee:
     def test_ids_and_gains(self):
         cfg = PlannerConfig()
         p = make_params(k_p=2.0, k_v=1.0, r_d=0.4)
-        agents = make_agents(p, cfg)
-        assert [a.id for a in agents] == [1, 2, 3, 4, 5, 6, 7]
-        assert all(a.gains.k_p == 2.0 and a.r_d == 0.4 for a in agents)
+        com = Committee.of(p, cfg)
+        assert com.ids == (1, 2, 3, 4, 5, 6, 7)
+        assert com.kinds == tuple(agent_heuristic(i) for i in com.ids)
+        assert np.all(com.k_p == 2.0) and com.inv_r_d == 1.0 / 0.4
 
     def test_rejects_bad_vector(self):
         with pytest.raises(ValueError):
-            make_agents(np.zeros(10), PlannerConfig())
+            Committee.of(np.zeros(10), PlannerConfig())
+
+    def test_owns_its_gains(self):
+        p = make_params(k_p=2.0, k_cf=3.0, k_r=1.0, r_d=0.4)
+        com = Committee.of(p, PlannerConfig())
+        p[:] = 9.0
+        assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
+
+    def test_random_streams_are_fresh_per_call(self):
+        cfg = PlannerConfig(master_seed=3)
+        com = Committee.of(make_params(), cfg)
+        first, second = com.rngs(cfg), com.rngs(cfg)
+        assert [r is None for r in first] == [k is not HeuristicKind.RANDOM for k in com.kinds]
+        for a, b in zip(first, second):
+            if a is not None:
+                assert a is not b and a.random() == b.random()
 
 
 class TestRollout:
     def test_shape_and_times(self):
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=20)
-        agent = make_agents(untuned_baseline(), cfg)[0]
-        agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0][0]
+        traj = alone(Committee.of(untuned_baseline(), cfg), 0, scene, cfg)
         assert len(traj) == 21
         assert np.allclose(np.diff(traj.times), cfg.dt)
         assert np.allclose(traj.positions[0], scene.start)
 
+    def test_rejects_states_of_another_size(self):
+        scene = obstruction_scene()
+        cfg = PlannerConfig(horizon=5)
+        com = Committee.of(untuned_baseline(), cfg)
+        with pytest.raises(ValueError):
+            rollout(com, scene.start[None], np.zeros((1, 3)), scene, cfg)
+
+    def test_read_only_state_is_left_unchanged(self):
+        # the caller's arrays are the rollout's start state, never its workspace
+        scene = obstruction_scene()
+        start = scene.start.copy()
+        cfg = PlannerConfig(horizon=10, master_seed=2)
+        com = Committee.of(LOCKSTEP_P, cfg)
+        x, v = spread_states(cfg.n_agents, scene.start, seed=1)
+        for a in (x, v):
+            a.flags.writeable = False
+        x0, v0 = x.copy(), v.copy()
+        trajs, _ = rollout(com, x, v, scene, cfg)
+        assert all(np.array_equal(t.positions[0], row) for t, row in zip(trajs, x0))
+        x1, v1 = scene.start, np.zeros(3)
+        x1.flags.writeable = v1.flags.writeable = False
+        plan_step(com, x1, v1, scene, cfg, WEIGHTS)
+        assert np.array_equal(x, x0) and np.array_equal(v, v0)
+        assert np.array_equal(scene.start, start) and not v1.any()
+
     def test_clearances_match_scene(self):
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=15)
-        agent = make_agents(untuned_baseline(), cfg)[2]
-        agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0][0]
+        traj = alone(Committee.of(untuned_baseline(), cfg), 2, scene, cfg)
         centers, radii = scene_arrays(scene)
         for k in range(len(traj)):
             expected = min_surface_distance(traj.positions[k], centers, radii)
@@ -117,11 +175,10 @@ class TestRollout:
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=25, master_seed=5)
         p = make_params(k_p=8.0, k_v=4.0, k_cf=30.0, k_r=0.5, r_d=0.3)
-        agent = make_agents(p, cfg)[5]  # id 6: first RANDOM heuristic
-        agent.state = AgentKinematics(scene.start, np.zeros(3))
-        a = rollout([agent], scene, cfg)[0][0]
-        rollout([make_agents(p, cfg)[6]], scene, cfg)  # interleaved other agent
-        b = rollout([agent], scene, cfg)[0][0]
+        com = Committee.of(p, cfg)
+        a = alone(com, 5, scene, cfg)  # id 6: first RANDOM heuristic
+        alone(com, 6, scene, cfg)  # interleaved other agent
+        b = alone(com, 5, scene, cfg)
         assert np.array_equal(a.positions, b.positions)
 
     def test_master_seed_changes_random_agent(self):
@@ -130,18 +187,14 @@ class TestRollout:
         trajs = []
         for seed in (0, 1):
             cfg = PlannerConfig(horizon=25, master_seed=seed)
-            agent = make_agents(p, cfg)[5]
-            agent.state = AgentKinematics(scene.start, np.zeros(3))
-            trajs.append(rollout([agent], scene, cfg)[0][0])
+            trajs.append(alone(Committee.of(p, cfg), 5, scene, cfg))
         assert not np.array_equal(trajs[0].positions, trajs[1].positions)
 
     def test_speed_cap_limits_step_length(self):
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=30, v_max=0.7)
         p = make_params(k_p=150.0, k_v=0.0, r_d=0.0)
-        agent = make_agents(p, cfg)[0]
-        agent.state = AgentKinematics(scene.start, np.zeros(3))
-        traj = rollout([agent], scene, cfg)[0][0]
+        traj = alone(Committee.of(p, cfg), 0, scene, cfg)
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
         assert np.all(steps <= cfg.v_max * cfg.dt + 1e-12)
 
@@ -150,36 +203,30 @@ class TestPlanStep:
     def test_all_zero_gains_tie_to_agent_one(self):
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=10)
-        agents = make_agents(make_params(), cfg)
-        kin = AgentKinematics(scene.start, np.zeros(3))
-        for a in agents:
-            a.state = kin
-        assert plan_step(agents, scene, cfg, WEIGHTS)[0] == 1
+        com = Committee.of(make_params(), cfg)
+        assert plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)[0] == 1
 
     def test_returns_argmin_agent(self):
         scene = obstruction_scene()
         cfg = PlannerConfig(horizon=10)
-        agents = make_agents(untuned_baseline(), cfg)
-        kin = AgentKinematics(scene.start, np.zeros(3))
-        for a in agents:
-            a.state = kin
-        chosen, _, _ = plan_step(agents, scene, cfg, WEIGHTS)
+        com = Committee.of(untuned_baseline(), cfg)
+        chosen, _, _ = plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)
         costs = {
-            a.id: agent_cost(rollout([a], scene, cfg)[0][0], scene, WEIGHTS) for a in agents
+            i: agent_cost(alone(com, k, scene, cfg), scene, WEIGHTS) for k, i in enumerate(com.ids)
         }
         assert costs[chosen] == min(costs.values())
 
 
-def spread_agents(p: np.ndarray, cfg: PlannerConfig, around, seed: int, spread: float = 0.15):
-    """Committee agents at different states around a point, so that they see
-    different numbers of obstacles in their shells."""
+def spread_states(n: int, around, seed: int, spread: float = 0.15):
+    """(n, 3) positions and velocities of agents at different states around
+    a point, so that they see different numbers of obstacles in their shells."""
     rng = np.random.default_rng(seed)
-    agents = make_agents(p, cfg)
-    for a in agents:
-        a.state = AgentKinematics(
-            np.asarray(around) + rng.uniform(-spread, spread, 3), rng.uniform(-0.6, 0.6, 3)
-        )
-    return agents
+    rows = [
+        (np.asarray(around) + rng.uniform(-spread, spread, 3), rng.uniform(-0.6, 0.6, 3))
+        for _ in range(n)
+    ]
+    x, v = (np.array(column) for column in zip(*rows))
+    return x, v
 
 
 def clutter_scene() -> Scene:
@@ -216,71 +263,70 @@ class TestLockstep:
             "desk": lambda: randomize_scene(default_desk_randomizer(), 0),
         }[which]()
         cfg = PlannerConfig(horizon=25, master_seed=4, jacobian=JACOBIAN)
-        agents = spread_agents(LOCKSTEP_P, cfg, scene.start, seed=2)
-        together, _ = rollout(agents, scene, cfg)
+        com = Committee.of(LOCKSTEP_P, cfg)
+        x, v = spread_states(cfg.n_agents, scene.start, seed=2)
+        together, _ = rollout(com, x, v, scene, cfg)
         assert len(together) == 7
-        for agent, traj in zip(agents, together):
-            alone = rollout([agent], scene, cfg)[0][0]
-            assert np.array_equal(traj.positions, alone.positions)
-            assert np.array_equal(traj.clearances, alone.clearances)
+        for k, traj in enumerate(together):
+            solo = alone(com, k, scene, cfg, x, v)
+            assert np.array_equal(traj.positions, solo.positions)
+            assert np.array_equal(traj.clearances, solo.clearances)
 
     def test_far_apart_agents_equal_single_agent_rollouts(self):
         # agents spread over a desk scene share one neighbour list, widened by
         # their spread, and each still gets its own A = 1 rollout byte for byte
         scene = randomize_scene(default_desk_randomizer(), 0)
         cfg = PlannerConfig(horizon=20, master_seed=4, jacobian=JACOBIAN)
-        agents = spread_agents(LOCKSTEP_P, cfg, (0.0, 0.0, 0.55), seed=5, spread=0.5)
-        x = np.stack([a.state.position for a in agents])
-        budget = (cfg.horizon * cfg.v_max * cfg.dt, agents[0].r_d)
+        com = Committee.of(LOCKSTEP_P, cfg)
+        x, v = spread_states(cfg.n_agents, (0.0, 0.0, 0.55), seed=5, spread=0.5)
+        budget = (cfg.horizon * cfg.v_max * cfg.dt, detection_radius(LOCKSTEP_P))
         shared = scene.neighbour_list(x, *budget).size
         assert all(scene.neighbour_list(row[None], *budget).size < shared for row in x)
-        for agent, traj in zip(agents, rollout(agents, scene, cfg)[0]):
-            alone = rollout([agent], scene, cfg)[0][0]
-            assert traj.positions.tobytes() == alone.positions.tobytes()
-            assert traj.clearances.tobytes() == alone.clearances.tobytes()
+        for k, traj in enumerate(rollout(com, x, v, scene, cfg)[0]):
+            solo = alone(com, k, scene, cfg, x, v)
+            assert traj.positions.tobytes() == solo.positions.tobytes()
+            assert traj.clearances.tobytes() == solo.clearances.tobytes()
 
     @pytest.mark.parametrize("which", ["obstruction", "clutter"])
     def test_forces_match_scalar_oracle(self, which):
         # one lockstep force evaluation against fields.steering_force with
         # currents from heuristics.compute_current, agent by agent
+        n = CFG_JAC.n_agents
         if which == "obstruction":
             # 0.3 m from the sphere center, 0.15 m from its surface
             scene = obstruction_scene()
-            agents = spread_agents(LOCKSTEP_P, CFG_JAC, scene.start + (0.1, 0, 0), 3, 0.08)
+            x, v = spread_states(n, scene.start + (0.1, 0, 0), 3, 0.08)
         else:
             scene = clutter_scene()
-            agents = spread_agents(LOCKSTEP_P, CFG_JAC, scene.start, seed=3)
+            x, v = spread_states(n, scene.start, seed=3)
         cfg = CFG_JAC
-        x = np.stack([a.state.position for a in agents])
-        v = np.stack([a.state.velocity for a in agents])
+        com = Committee.of(LOCKSTEP_P, cfg)
+        r_d = detection_radius(LOCKSTEP_P)
         offsets = x[:, None, :] - scene.centers
         dist = norms(offsets)
         surf = dist - scene.radii
         assert surf.min() > 0.0  # the scalar repulsion rejects overlaps
-        assert np.all(np.any(surf <= agents[0].r_d, axis=1))  # every agent steers
-        rngs = [planner._rollout_rng(cfg, a) for a in agents]
+        assert np.all(np.any(surf <= r_d, axis=1))  # every agent steers
         force = planner._forces(
             x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
-            planner._Committee.of(agents), rngs,
-            cfg.manip_direction,
+            com, com.rngs(cfg), cfg.manip_direction,
         )
         obstacles = scene.obstacles
-        for k, a in enumerate(agents):
-            rng = planner._rollout_rng(cfg, a)
+        for k, (kind, rng) in enumerate(zip(com.kinds, com.rngs(cfg))):
+            state = AgentKinematics(x[k], v[k])
             currents = [
                 compute_current(
-                    a.heuristic, a.state, o, scene.goal,
+                    kind, state, o, scene.goal,
                     others=obstacles[:i] + obstacles[i + 1 :], rng=rng,
                 )
-                if o.surface_distance(a.state.position) <= a.r_d
+                if o.surface_distance(state.position) <= r_d
                 else np.zeros(3)
                 for i, o in enumerate(obstacles)
             ]
-            want = steering_force(
-                a.state, scene.goal, obstacles, currents, a.gains, a.r_d, JACOBIAN
-            )
+            gains = agent_gains(LOCKSTEP_P, k, n)
+            want = steering_force(state, scene.goal, obstacles, currents, gains, r_d, JACOBIAN)
             scale = max(float(np.linalg.norm(want)), 1.0)
-            assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, a.heuristic
+            assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, kind
 
 
 def every_obstacle(scene, rows, travel, reach=-np.inf):
@@ -296,8 +342,9 @@ class TestRefreshedLists:
         # byte for byte the rollout of a pass over every sphere of the scene
         scene = randomize_scene(default_desk_randomizer(), 0)
         cfg = PlannerConfig(horizon=horizon, master_seed=4, jacobian=JACOBIAN)
-        agents = spread_agents(
-            LOCKSTEP_P, cfg, scene.start if around is None else around, seed=5, spread=spread
+        com = Committee.of(LOCKSTEP_P, cfg)
+        x, v = spread_states(
+            cfg.n_agents, scene.start if around is None else around, seed=5, spread=spread
         )
         sizes = []
         listed = Scene.neighbour_list
@@ -308,11 +355,11 @@ class TestRefreshedLists:
             return near
 
         monkeypatch.setattr(Scene, "neighbour_list", recording)
-        trajs, vel = rollout(agents, scene, cfg)
+        trajs, vel = rollout(com, x, v, scene, cfg)
         assert len(sizes) == horizon // planner.REFRESH_STEPS + 1
         assert max(sizes) < scene.radii.shape[0]
         monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
-        whole, whole_vel = rollout(agents, scene, cfg)
+        whole, whole_vel = rollout(com, x, v, scene, cfg)
         assert vel.tobytes() == whole_vel.tobytes()
         for got, want in zip(trajs, whole):
             assert got.positions.tobytes() == want.positions.tobytes()
@@ -330,12 +377,12 @@ class TestRefreshedLists:
             workspace=WorkspaceBounds((-1.0, -1.0, -1.0), (11.0, 1.0, 1.0)),
         )
         cfg = PlannerConfig(n_agents=1, horizon=50)
-        agents = make_agents(make_params(1, k_p=1000.0, k_r=1e-3, r_d=0.3), cfg)
-        agents[0].state = AgentKinematics(scene.start, np.array([cfg.v_max, 0.0, 0.0]))
-        (got,), vel = rollout(agents, scene, cfg)
+        com = Committee.of(make_params(1, k_p=1000.0, k_r=1e-3, r_d=0.3), cfg)
+        x, v = scene.start[None], np.array([[cfg.v_max, 0.0, 0.0]])
+        (got,), vel = rollout(com, x, v, scene, cfg)
         assert np.allclose(norms(vel[0]), cfg.v_max, rtol=1e-12, atol=0.0)
         monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
-        (want,), want_vel = rollout(agents, scene, cfg)
+        (want,), want_vel = rollout(com, x, v, scene, cfg)
         assert vel.tobytes() == want_vel.tobytes()
         assert got.positions.tobytes() == want.positions.tobytes()
         assert got.clearances.tobytes() == want.clearances.tobytes()
@@ -411,6 +458,19 @@ class TestExecute:
         result = execute(scene, make_params(), cfg, WEIGHTS)
         assert len(result.trajectory) == result.steps_used + 1
 
+    def test_builds_one_committee_per_plan(self, monkeypatch):
+        built = []
+        original = planner.Committee.of
+
+        def counting(p, cfg):
+            built.append(original(p, cfg))
+            return built[-1]
+
+        monkeypatch.setattr(planner.Committee, "of", counting)
+        result = execute(obstruction_scene(), untuned_baseline(), BENCH_CFG, WEIGHTS)
+        assert len(result.best_agent_history) > 1
+        assert len(built) == 1
+
     def test_start_at_goal_short_circuits(self):
         from tests.conftest import empty_scene
 
@@ -423,13 +483,13 @@ class TestExecute:
 
 
 def recorded_execute(monkeypatch, scene, p, cfg):
-    """``execute`` with each replan's start state and ``plan_step`` result
-    recorded, in order."""
+    """``execute`` with each replan's start state (x, v) and ``plan_step``
+    result recorded, in order."""
     steps = []
     original = planner.plan_step
 
-    def wrapper(agents, *args):
-        steps.append((agents[0].state, *original(agents, *args)))
+    def wrapper(com, x, v, *args):
+        steps.append(((x, v), *original(com, x, v, *args)))
         return steps[-1][1:]
 
     monkeypatch.setattr(planner, "plan_step", wrapper)
@@ -451,9 +511,9 @@ def assert_segments_are_rollout_prefixes(result, steps, dt):
         # semi-implicit Euler moves each sample by dt times the next velocity
         assert np.allclose(np.diff(rolled.positions, axis=0), dt * vel[1:], rtol=0, atol=1e-12)
         if k + 1 < len(steps):
-            start = steps[k + 1][0]
-            assert start.position.tobytes() == rolled.positions[n].tobytes()
-            assert start.velocity.tobytes() == vel[n].tobytes()
+            x, v = steps[k + 1][0]
+            assert x.tobytes() == rolled.positions[n].tobytes()
+            assert v.tobytes() == vel[n].tobytes()
 
 
 class TestCommittedSegment:
