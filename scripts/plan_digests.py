@@ -36,9 +36,17 @@ the same scenes.  The ``subsample`` line hashes farthest-point subsamples of
 clouds full of distance ties: a permuted lattice, that lattice twice over,
 40 points a hundred times over, points on a line, tight clusters, a cloud
 with half its points coincident, 20k Gaussian points, and the raw surface
-cloud of an unseen desk scene.  These five lines and the ``default/`` ones
-stay out of ``all`` so that ``all`` compares with checkouts that print none
-of them.
+cloud of an unseen desk scene.  The ``currents`` line hashes the lockstep
+kernel's pieces on adversarial inputs: ``batch_currents`` for committees that
+mix every heuristic, where some agents have several rows, some none, and
+random agents sit with no rows between agents that have some, with rows whose
+obstacle offset or defining cross product is degenerate, with and without
+nearest-neighbour centers; ``planner._forces`` for committees in which all,
+some or none of the agents circle or repel, on a one-sphere and a clustered
+scene, with agents outside every shell, inside a sphere and at a center; and
+``planner._euler_step`` on rows below, at and above the speed cap.  These six
+lines and the ``default/`` ones stay out of ``all`` so that ``all`` compares
+with checkouts that print none of them.
 """
 
 from __future__ import annotations
@@ -55,10 +63,13 @@ from cfplan import (
     PointCloud,
     BoResult,
     BoundsBox,
+    Committee,
     HeuristicKind,
     PlannerConfig,
     Scene,
+    SphereObstacle,
     TrajectoryCostWeights,
+    WorkspaceBounds,
     agent_heuristic,
     default_bounds,
     default_desk_randomizer,
@@ -71,6 +82,9 @@ from cfplan import (
     trajectory_cost,
     tune_scene,
 )
+from cfplan import planner
+from cfplan.heuristics import batch_currents
+from cfplan.vec3 import norms
 
 DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 JACOBIAN = np.random.default_rng(1).standard_normal((3, 7))
@@ -205,6 +219,103 @@ def subsample_digest() -> str:
     return h.hexdigest()
 
 
+K = HeuristicKind
+#: every heuristic, random agents between others and twice the mixed kinds
+MIXED_KINDS = (
+    K.RANDOM, K.VELOCITY, K.PATH_LENGTH, K.RANDOM, K.GOAL_VECTOR, K.OBSTACLE_DISTANCE,
+    K.PATH_LENGTH_OBSTACLE_DISTANCE, K.RANDOM, K.PATH_LENGTH, K.PATH_LENGTH_OBSTACLE_DISTANCE,
+)
+
+
+def currents_cases():
+    """(kinds, agent, x, v, offsets, goal, nn) inputs of ``batch_currents``."""
+    rng = np.random.default_rng(15)
+    goal = np.array([0.6, 0.1, 0.5])
+    committees = [tuple(agent_heuristic(i) for i in range(1, 8)), MIXED_KINDS]
+    committees += [(kind,) for kind in HeuristicKind]
+    for kinds in committees:
+        a = len(kinds)
+        patterns = [np.ones(a, dtype=int), rng.integers(0, 4, size=a), rng.integers(0, 4, size=a)]
+        if a == len(MIXED_KINDS):
+            patterns.append(np.array([0, 2, 3, 0, 1, 2, 3, 0, 1, 2]))  # random agents without rows
+        for counts in patterns:
+            agent = np.repeat(np.arange(a), counts)
+            m = agent.shape[0]
+            x = rng.uniform(-1.0, 1.0, (a, 3))
+            v = rng.uniform(-1.0, 1.0, (a, 3))
+            v[rng.random(a) < 0.3] = 0.0  # velocity currents fall back to d x e_z
+            offsets = rng.uniform(-0.3, 0.3, (m, 3))
+            if m:
+                k = rng.integers(0, m, size=3)
+                offsets[k[0]] = 0.0  # the agent sits at the center
+                offsets[k[1]] = (0.0, 0.0, -0.2)  # d = e_z: with v = 0, d x e_x
+                v[agent[k[1]]] = 0.0
+                offsets[k[2]] = -0.5 * v[agent[k[2]]]  # v parallel to d
+            for nn in (None, rng.uniform(-1.0, 1.0, (m, 3))):
+                if nn is not None and m:
+                    nn[rng.integers(0, m)] = x[agent[0]]  # neighbour offset of zero
+                yield kinds, agent, x, v, offsets, goal, nn
+
+
+def forces_cases():
+    """(x, v, scene, p, cfg) inputs of ``planner._forces``."""
+    rng = np.random.default_rng(16)
+    crowd = Scene(
+        obstacles=[
+            SphereObstacle(c, 0.04)
+            for c in [(0.0, 0.12, 0.5), (0.1, -0.1, 0.5), (-0.12, 0.0, 0.55),
+                      (0.05, 0.0, 0.68), (0.2, 0.1, 0.45), (-0.05, -0.15, 0.35)]
+        ],
+        start=(0.0, 0.0, 0.5),
+        goal=(0.6, 0.1, 0.5),
+        workspace=WorkspaceBounds((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
+    )
+    on = np.linspace(1.0, 7.0, 7)
+    some, other = on * (np.arange(7) % 2), on * (np.arange(7) % 3 != 0)
+    off = np.zeros(7)
+    gain_sets = [(k_cf, k_r) for k_cf in (on, some, off) for k_r in (on, some, other, off)]
+    for scene in (obstruction_scene(), crowd):
+        for k_cf, k_r in gain_sets:
+            p = np.r_[np.linspace(5.0, 20.0, 7), np.linspace(2.0, 8.0, 7), k_cf * 10.0,
+                      np.linspace(0.5, 3.0, 7), k_r * 0.05, 0.3]
+            x = scene.start + rng.uniform(-0.15, 0.15, (7, 3))
+            x[0] += 2.0  # outside every shell
+            x[1] = scene.centers[0] + (0.01, 0.0, 0.0)  # inside a sphere
+            x[2] = scene.centers[-1]  # at a center
+            v = rng.uniform(-0.6, 0.6, (7, 3))
+            v[3] = 0.0
+            for jacobian in (None, JACOBIAN):
+                yield x, v, scene, p, PlannerConfig(master_seed=2, jacobian=jacobian)
+
+
+def currents_digest() -> str:
+    h = hashlib.sha256()
+    for kinds, agent, x, v, offsets, goal, nn in currents_cases():
+        rngs = [np.random.default_rng(i) if k is K.RANDOM else None for i, k in enumerate(kinds)]
+        rows = batch_currents(kinds, agent, x, v, offsets, norms(offsets), goal, nn, rngs)
+        h.update(rows.tobytes())
+    for x, v, scene, p, cfg in forces_cases():
+        com = Committee.of(p, cfg)
+        offsets = x[:, None, :] - scene.centers
+        dist = norms(offsets)
+        surf = dist - scene.radii
+        force = planner._forces(
+            x, v, offsets, dist, surf, scene.goal, scene.nn_centers, com,
+            com.rngs(cfg), cfg.manip_direction,
+        )
+        h.update(force.tobytes())
+    rng = np.random.default_rng(17)
+    for scale in (0.1, 1.0, 100.0):
+        x, v = rng.standard_normal((2, 7, 3))
+        force = scale * rng.standard_normal((7, 3))
+        force[0] = (1e300, 0.0, 0.0)  # its squared speed overflows to inf
+        force[1] = (np.nan, 0.0, 0.0)  # a NaN speed is never capped
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in planner._euler_step(x, v, force, 1.0, 0.01, 1.0):
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def six_hump_camel(x: np.ndarray) -> float:
     """Six local minima, two of them global (about -1.0316)."""
     a, b = float(x[0]), float(x[1])
@@ -263,6 +374,7 @@ def main() -> int:
     print(f"scenes {scenes_digest()}")
     print(f"nn {nn_digest()}")
     print(f"subsample {subsample_digest()}")
+    print(f"currents {currents_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 
