@@ -17,6 +17,7 @@ plan does not reach the goal, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -59,6 +60,12 @@ def cmd_gen_scenes(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _load_config(args)
+    # the overrides pass the RunConfig checks before any scene loads
+    cfg = dataclasses.replace(
+        cfg,
+        n_init=cfg.n_init if args.init is None else args.init,
+        n_iter=cfg.n_iter if args.iters is None else args.iters,
+    )
     scene_dir = Path(args.scenes)
     paths = sorted(scene_dir.glob("*.json"))
     if not paths:
@@ -78,8 +85,8 @@ def cmd_label(args) -> int:
         traj_weights=cfg.trajectory_weights,
         out_path=args.out,
         bounds=cfg.bounds,
-        n_init=args.init if args.init is not None else cfg.n_init,
-        n_iter=args.iters if args.iters is not None else cfg.n_iter,
+        n_init=cfg.n_init,
+        n_iter=cfg.n_iter,
         on_scene=on_scene,
     )
     for row, path in zip(summary["per_scene"], paths):

@@ -71,6 +71,7 @@ def _merge_dataclass(section: str, default, data: dict):
 def _planner_from_dict(data: dict) -> PlannerConfig:
     data = dict(data)
     if data.get("jacobian") is not None:
+        check_json_numbers("planner.jacobian", data["jacobian"])
         data["jacobian"] = np.asarray(data["jacobian"], dtype=float)
     return _merge_dataclass("planner", PlannerConfig(), data)
 

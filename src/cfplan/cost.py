@@ -1,7 +1,8 @@
 """Cost functions.
 
-``agent_cost`` ranks candidate rollouts during replanning; ``trajectory_cost``
-scores a full executed trajectory and is the objective the tuner minimizes.
+``agent_costs`` ranks a replan's candidate rollouts, all in one call
+(``agent_cost`` scores one); ``trajectory_cost`` scores a full executed
+trajectory and is the objective the tuner minimizes.
 Both recompute obstacle distances from the scene rather than trusting the
 clearance values stored on the trajectory, so they also score trajectories
 that were produced elsewhere.  Both take them from ``scene_clearances``, which
@@ -22,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .scene import Scene, WorkspaceBounds, finite_real
+from .vec3 import dots, norms
 
 D_CLAMP = 1e-6
 CLEARANCE_CHUNK = 64  # rows per surface_clearances block: bounds its (rows, n, 3) temporary
@@ -95,36 +97,52 @@ def scene_clearances(rows: np.ndarray, scene: Scene) -> np.ndarray:
 
 def workspace_violation(positions: np.ndarray, workspace: WorkspaceBounds) -> float:
     """Sum of squared per-axis box violations over all rows."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    below = np.maximum(workspace.min - positions, 0.0)
-    above = np.maximum(positions - workspace.max, 0.0)
-    return float((below**2).sum() + (above**2).sum())
+    positions = np.asarray(positions, dtype=float).reshape(1, -1, 3)
+    return float(_violations(positions, workspace)[0])
 
 
-def _path_length(positions: np.ndarray) -> float:
-    if positions.shape[0] < 2:
-        return 0.0
-    return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+def _violations(stacks: np.ndarray, workspace: WorkspaceBounds) -> np.ndarray:
+    """``workspace_violation`` of each (s, 3) stack of (A, s, 3) rows."""
+    below = np.maximum(workspace.min - stacks, 0.0)
+    above = np.maximum(stacks - workspace.max, 0.0)
+    return (below**2).sum(axis=(1, 2)) + (above**2).sum(axis=(1, 2))
 
 
-def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
-    """Rollout score: path length + final distance to ``scene.goal`` + an
-    inverse-clearance penalty + squared workspace violations.
+def _path_lengths(stacks: np.ndarray) -> np.ndarray:
+    """Path length of each (s, 3) stack of (A, s, 3) samples."""
+    return norms(np.diff(stacks, axis=1)).sum(axis=1)
+
+
+def agent_costs(positions: np.ndarray, scene: Scene, weights: AgentCostWeights) -> np.ndarray:
+    """Rollout scores of the (A, s, 3) sample stacks ``positions``, (A,):
+    path length + final distance to ``scene.goal`` + an inverse-clearance
+    penalty + squared workspace violations.
 
     The clearance and workspace terms skip the first sample (the shared start
     state of all candidate rollouts).  The clearance term uses the single
     closest approach over all later samples and obstacles and vanishes when
-    the scene has no obstacles.
+    the scene has no obstacles.  Each score is bitwise the one its rollout
+    gets alone.
     """
-    pos = traj.positions
-    c = weights.path_length * _path_length(pos)
-    c += weights.goal_distance * float(np.linalg.norm(scene.goal - pos[-1]))
-    if scene.radii.shape[0] > 0 and pos.shape[0] >= 2:
-        d_min = float(scene_clearances(pos[1:], scene).min())
-        c += weights.obstacle / max(d_min, D_CLAMP)
-    if pos.shape[0] >= 2:
-        c += weights.workspace * workspace_violation(pos[1:], scene.workspace)
-    return float(c)
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 3 or pos.shape[1] == 0 or pos.shape[2] != 3:
+        raise ValueError(f"positions must have shape (A, s >= 1, 3), got {pos.shape}")
+    n, s = pos.shape[:2]
+    gap = scene.goal - pos[:, -1]
+    c = weights.path_length * _path_lengths(pos)
+    c = c + weights.goal_distance * np.sqrt(dots(gap, gap))
+    if s >= 2:
+        later = pos[:, 1:]
+        if scene.radii.shape[0] > 0:
+            d_min = np.minimum.reduce(scene_clearances(later, scene).reshape(n, s - 1), axis=1)
+            c = c + weights.obstacle / np.maximum(d_min, D_CLAMP)
+        c = c + weights.workspace * _violations(later, scene.workspace)
+    return c
+
+
+def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
+    """``agent_costs`` of one trajectory."""
+    return float(agent_costs(traj.positions[None], scene, weights)[0])
 
 
 def trajectory_cost(traj, scene: Scene, weights: TrajectoryCostWeights) -> float:
@@ -137,7 +155,7 @@ def trajectory_cost(traj, scene: Scene, weights: TrajectoryCostWeights) -> float
     """
     pos = traj.positions
     steps = pos.shape[0] - 1
-    c = weights.path_length * _path_length(pos)
+    c = weights.path_length * float(_path_lengths(pos[None])[0])
     c += weights.goal_deviation * float(np.linalg.norm(pos[-1] - scene.goal))
     if scene.radii.shape[0] > 0 and steps >= 1:
         d = np.maximum(scene_clearances(pos[1:], scene), D_CLAMP)

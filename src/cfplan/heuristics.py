@@ -14,7 +14,7 @@ from the agent to the obstacle center.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,32 +53,73 @@ def agent_heuristic(agent_id: int) -> HeuristicKind:
     return HeuristicKind.RANDOM
 
 
-def _normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm, and the indices of rows with a norm of at
-    most _EPS (those are left unscaled)."""
-    n = norms(m)
-    return m / np.where(n > _EPS, n, 1.0)[:, None], (n <= _EPS).nonzero()[0]
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _scale_rows(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows / n`` row by row, and the indices of rows whose ``n`` is at most
+    _EPS (those are left unscaled)."""
+    if n[n.argmin()] > _EPS:  # argmin stops at a NaN, which fails the test
+        return rows / n[:, None], _NO_ROWS
+    return rows / np.where(n > _EPS, n, 1.0)[:, None], (n <= _EPS).nonzero()[0]
 
 
 def _with_fallback(raw: np.ndarray, dhat: np.ndarray) -> np.ndarray:
-    unit, bad = _normalize_rows(raw)
+    unit, bad = _scale_rows(raw, norms(raw))
     if bad.size:
-        alt, worse = _normalize_rows(cross(dhat[bad], _EZ))
+        alt = cross(dhat[bad], _EZ)
+        alt, worse = _scale_rows(alt, norms(alt))
         if worse.size:
-            alt[worse] = _normalize_rows(cross(dhat[bad[worse]], _EX))[0]
+            last = cross(dhat[bad[worse]], _EX)
+            alt[worse] = _scale_rows(last, norms(last))[0]
         unit[bad] = alt
     return unit
 
 
-_VELOCITY, _PATH, _GOAL, _OBSTACLE, _BOTH, _RANDOM = range(len(HeuristicKind))
+# per-agent switches, one column each: w is the goal offset when there are no
+# nearest-neighbour centers, w is the goal offset, w is the neighbour offset,
+# the current flips toward the goal, the current is the combined kind's
+_GOAL_OR_NEIGHBOUR_W, _GOAL_W, _NEIGHBOUR_W, _FLIP, _COMBINED = range(5)
+_SWITCHES = (
+    (HeuristicKind.GOAL_VECTOR, HeuristicKind.OBSTACLE_DISTANCE),
+    (HeuristicKind.GOAL_VECTOR,),
+    (HeuristicKind.OBSTACLE_DISTANCE,),
+    (HeuristicKind.PATH_LENGTH, HeuristicKind.PATH_LENGTH_OBSTACLE_DISTANCE),
+    (HeuristicKind.PATH_LENGTH_OBSTACLE_DISTANCE,),
+)
 
 
-@lru_cache(maxsize=64)
-def _kind_codes(kinds: tuple[HeuristicKind, ...]) -> np.ndarray:
-    """Each agent's kind as its position in HeuristicKind (read-only)."""
-    codes = np.array([list(HeuristicKind).index(k) for k in kinds])
-    codes.flags.writeable = False
-    return codes
+class _Layout(NamedTuple):
+    """What ``batch_currents`` needs to know of a committee's heuristics."""
+
+    switches: np.ndarray  # (A, 5) bool, columns as in _SWITCHES
+    goal_w: tuple[np.ndarray, np.ndarray]  # switch columns 0 and 1 as (A, 1)
+    random: tuple[int, ...]  # the random agents, ascending
+    random_edges: np.ndarray  # a, a + 1 for each random agent a
+
+
+def _committee_layout(kinds: tuple[HeuristicKind, ...]) -> _Layout:
+    switches = np.array([[k in kinds_on for kinds_on in _SWITCHES] for k in kinds])
+    random = tuple(a for a, k in enumerate(kinds) if k is HeuristicKind.RANDOM)
+    return _Layout(
+        switches,
+        (switches[:, _GOAL_OR_NEIGHBOUR_W, None], switches[:, _GOAL_W, None]),
+        random,
+        np.array([(a, a + 1) for a in random], dtype=np.intp).ravel(),
+    )
+
+
+# the last committee's layout, found by identity: a planner passes the same
+# kinds tuple on every step of a plan, and Enum members hash in Python
+_last_layout: tuple[tuple[HeuristicKind, ...], _Layout] | None = None
+
+
+def _layout(kinds: tuple[HeuristicKind, ...]) -> _Layout:
+    global _last_layout
+    last = _last_layout
+    if last is None or last[0] is not kinds:
+        last = _last_layout = (kinds, _committee_layout(kinds))
+    return last[1]
 
 
 def batch_currents(
@@ -110,11 +151,11 @@ def batch_currents(
     m = agent.shape[0]
     if m == 0:
         return np.zeros((0, 3))
-    codes = _kind_codes(kinds)
-    kind = codes.take(agent)
+    layout = _layout(kinds)
+    switches = layout.switches.take(agent, axis=0)
     # d = (center - x) / |center - x|, unscaled when the norm is tiny;
     # 0 - (x - center) rounds like center - x, signed zeros included
-    dhat = (0.0 - offsets) / np.where(distances > _EPS, distances, 1.0)[:, None]
+    dhat = _scale_rows(0.0 - offsets, distances)[0]
 
     # each deterministic kind crosses d with w: the velocity, the goal
     # offset, or the offset from the obstacle's nearest neighbour (the goal
@@ -122,55 +163,60 @@ def batch_currents(
     # velocity and an obstacle-distance current, so its second vector rides
     # along in extra rows m, m + 1, ...
     to_goal = goal - positions
-    pair_to_goal = to_goal.take(agent, axis=0)
-    if nn_centers is None:
-        neighbour = pair_to_goal
-    else:
+    w = np.where(layout.goal_w[nn_centers is not None], to_goal, velocities).take(agent, axis=0)
+    if nn_centers is not None:
         neighbour = positions.take(agent, axis=0) - nn_centers
-    w = np.where((kind == _GOAL)[:, None], pair_to_goal, velocities.take(agent, axis=0))
-    w = np.where((kind == _OBSTACLE)[:, None], neighbour, w)
-    both = (kind == _BOTH).nonzero()[0]
+        w = np.where(switches[:, _NEIGHBOUR_W, None], neighbour, w)
+    both = switches[:, _COMBINED].nonzero()[0]
     d = dhat
     if both.size:
+        if nn_centers is None:
+            second = to_goal.take(agent.take(both), axis=0)
+        else:
+            second = neighbour.take(both, axis=0)
         d = np.concatenate((dhat, dhat.take(both, axis=0)))
-        w = np.concatenate((w, neighbour.take(both, axis=0)))
+        w = np.concatenate((w, second))
     raw = cross(d, w)
-    for a in (codes == _RANDOM).nonzero()[0]:
-        s, e = np.searchsorted(agent, (a, a + 1)).tolist()
-        if e > s:
-            raw[s:e] = rngs[a].standard_normal((e - s, 3))
+    if layout.random:
+        edges = agent.searchsorted(layout.random_edges).tolist()
+        for a, s, e in zip(layout.random, edges[::2], edges[1::2]):
+            if e > s:
+                raw[s:e] = rngs[a].standard_normal((e - s, 3))
     unit = _with_fallback(raw, d)
 
-    path = ((kind == _PATH) | (kind == _BOTH)).nonzero()[0]
+    path = switches[:, _FLIP].nonzero()[0]
     if path.size:
         owner = agent.take(path)
         unit[path] = _flip_toward_goal(
             unit.take(path, axis=0),
             velocities.take(owner, axis=0),
             to_goal.take(owner, axis=0),
-            owner,
+            owner.tolist(),
         )
     if both.size:
         unit[both] = _with_fallback(unit.take(both, axis=0) + unit[m:], dhat.take(both, axis=0))
     return unit[:m]
 
 
-def _flip_toward_goal(c, v, gap, agent):
+def _flip_toward_goal(c, v, gap, owner: list[int]):
     # keep the velocity-heuristic current, but flip its sign if the opposite
     # rotation produces a force better aligned with the goal direction:
     # score = (c |v|^2 - v (v . c)) . (goal - x), with v and gap = goal - x
     # given per row.  A one-row matrix product is a BLAS dot, which ``dots``
     # reproduces for all rows at once; an agent with several rows needs its
-    # own matrix-vector product, which rounds differently.
-    groups = (np.flatnonzero(agent == a) for a in set(agent.tolist()))
-    several = [rows for rows in groups if rows.size > 1]
+    # own matrix-vector product, which rounds differently.  Rows of one
+    # owner are adjacent, as owners do not decrease.
+    several = []
+    if len(set(owner)) < len(owner):
+        cut = [k for k in range(1, len(owner)) if owner[k] != owner[k - 1]]
+        several = [(s, e) for s, e in zip([0, *cut], [*cut, len(owner)]) if e - s > 1]
     cv = dots(c, v)
-    for rows in several:
-        cv[rows] = c[rows] @ v[rows[0]]
+    for s, e in several:
+        cv[s:e] = c[s:e] @ v[s]
     force = c * dots(v, v)[:, None] - v * cv[:, None]
     score = dots(force, gap)
-    for rows in several:
-        score[rows] = force[rows] @ gap[rows[0]]
+    for s, e in several:
+        score[s:e] = force[s:e] @ gap[s]
     return np.where(score[:, None] < 0.0, -c, c)
 
 

@@ -2,21 +2,23 @@
 
 A small committee of virtual agents shares the robot state.  Every agent
 carries its own gains and current heuristic; at each replanning step all of
-them simulate a short rollout from the current state, the cheapest rollout
-(by ``agent_cost``) wins, and the robot follows the winning rollout itself
-until the next replan: the committed segment is that rollout's first
-``replan_every`` steps, cut short at the first sample within the goal
-tolerance.  Integration is semi-implicit Euler with a hard speed cap.
+them simulate a short rollout from the current state, one
+``cost.agent_costs`` call scores every rollout, the cheapest wins, and the
+robot follows the winning rollout itself until the next replan: the
+committed segment is that rollout's first ``replan_every`` steps, cut short
+at the first sample within the goal tolerance.  Integration is
+semi-implicit Euler with a hard speed cap.
 
-One lockstep kernel, ``_simulate``, does all simulation.  It advances an
-(A, 3) state for every agent at once: per step one (A, m) surface-distance
-pass, one shell mask whose (agent, obstacle) pairs feed one currents pass
-(``heuristics.batch_currents``, dispatching on each pair's heuristic), and
-per-agent sums of the obstacle forces.  ``rollout`` runs it from (A, 3)
-state arrays for a ``Committee``, which ``execute`` builds once per plan from
-the parameter vector.  Every agent's result is bitwise the one it would get
-alone: the kernel keeps each rounding step of the per-agent computation (see
-``cfplan.vec3``).
+One lockstep kernel, ``rollout``, does all simulation.  It advances an
+(A, 3) state for every agent of a ``Committee`` (which ``execute`` builds
+once per plan from the parameter vector) at once and returns (A, k+1, 3)
+positions and velocities and (A, k+1) clearances: per step one (A, m)
+surface-distance pass, one shell mask whose (agent, obstacle) pairs, their
+offsets and distances taken once, feed one currents pass
+(``heuristics.batch_currents``, dispatching on each pair's heuristic) and the
+repulsion, and per-agent sums of the obstacle forces.  Every agent's result
+is bitwise the one it would get alone: the kernel keeps each rounding step
+of the per-agent computation (see ``cfplan.vec3``).
 
 The m obstacles are a Verlet neighbour list, refreshed every
 ``REFRESH_STEPS`` steps from the agents' current rows.  The speed cap bounds
@@ -49,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cost import AgentCostWeights, agent_cost, scene_clearances
+from .cost import AgentCostWeights, agent_costs, scene_clearances
 from .fields import RHO_MIN, GainSet, manipulability_force
 from .heuristics import HeuristicKind, agent_heuristic, batch_currents
 from .params import detection_radius, split_params, validate_params
@@ -59,7 +61,7 @@ from .vec3 import dots, norms
 #: per-sample clearance recorded when the scene has no obstacles
 EMPTY_CLEARANCE = 1e9
 
-#: samples scanned per neighbour list in ``_simulate``.  On desk scenes 3
+#: samples scanned per neighbour list in ``rollout``.  On desk scenes 3
 #: matched 5 at horizon 20 and beat it at horizon 50; 2, 4, 7 and 10 were slower
 REFRESH_STEPS = 3
 
@@ -147,8 +149,8 @@ def _euler_step(x, v, force, mass: float, dt: float, v_max: float):
     """Advance (k, 3) positions and velocities by one step each."""
     v = v + (dt / mass) * force
     speed = np.sqrt(dots(v, v))
-    fast = (speed > v_max).nonzero()[0]
-    if fast.size:
+    if not speed[speed.argmax()] <= v_max:  # argmax stops at a NaN: then scan all rows
+        fast = (speed > v_max).nonzero()[0]
         v[fast] *= (v_max / speed[fast])[:, None]
     return x + dt * v, v
 
@@ -193,6 +195,17 @@ class Committee:
             inv_r_d=1.0 / max(r_d, RHO_MIN),
         )
 
+    @cached_property
+    def pairs_circle(self) -> bool:
+        """Whether every agent that has obstacle pairs circles: k_cf != 0
+        wherever k_r != 0."""
+        return bool((self.circling | ~self.repelling).all())
+
+    @cached_property
+    def pairs_repel(self) -> bool:
+        """Whether every agent that has obstacle pairs repels."""
+        return bool((self.repelling | ~self.circling).all())
+
     def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
         """Each agent's own random stream, fresh from ``(master_seed, id)``;
         None for deterministic heuristics."""
@@ -209,19 +222,21 @@ def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
     """Per-agent sums of ``rows``, each starting from zero and adding its
     rows in order as ``rows.sum(axis=0)`` does, and an (A, 1) mask of the
     agents that had any row."""
-    total = np.zeros((n_agents, 3))
+    total = np.zeros((n_agents, rows.shape[1]))
     np.add.at(total, agent, rows)
     has = np.zeros((n_agents, 1), dtype=bool)
     has[agent] = True
     return total, has
 
 
-def _subset(idx, agent, keep):
-    """The pairs whose agent is flagged in ``keep``."""
-    sel = keep.take(agent).nonzero()[0]
-    if sel.size == agent.size:
-        return idx, agent
-    return idx.take(sel), agent.take(sel)
+def _subset(pairs, keep: np.ndarray, every: bool):
+    """The pairs, each array of ``pairs`` (flat index, agent, offset,
+    distance) indexed by pair, whose agent is flagged in ``keep``; all of
+    them when ``every`` says so."""
+    if every:
+        return pairs
+    sel = keep.take(pairs[1]).nonzero()[0]
+    return tuple(a.take(sel, axis=0) for a in pairs)
 
 
 def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pull):
@@ -238,46 +253,50 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pul
     n_agents, n = surf.shape
     idx = (surf <= com.reach).ravel().nonzero()[0]
     if idx.size:
-        agent = idx // n
-        flat = offsets.reshape(-1, 3)
-        ci, ca = _subset(idx, agent, com.circling)
+        pairs = (idx, idx // n, offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx))
+        ci, ca, c_off, c_dist = _subset(pairs, com.circling, com.pairs_circle)
+        ri, ra, r_off, r_dist = _subset(pairs, com.repelling, com.pairs_repel)
         if ci.size:
             currents = batch_currents(
-                com.kinds, ca, x, v, flat.take(ci, axis=0), dist.take(ci), goal,
+                com.kinds, ca, x, v, c_off, c_dist, goal,
                 None if nn is None else nn.take(ci % n, axis=0), rngs,
             )
-            cs, has = _agent_sums(n_agents, ca, currents)
-            term = com.k_cf * (dots(v, v)[:, None] * cs - v * dots(v, cs)[:, None])
-            f = np.where(has, f + term, f)
-        ri, ra = _subset(idx, agent, com.repelling)
         if ri.size:
             rho = np.maximum(surf.take(ri), RHO_MIN)
-            d = np.maximum(dist.take(ri), 1e-12)
+            d = np.maximum(r_dist, 1e-12)
             mag = com.k_r.take(ra) * (1.0 / rho - com.inv_r_d) / rho**2
-            push, has = _agent_sums(
-                n_agents, ra, (flat.take(ri, axis=0) / d[:, None]) * mag[:, None]
-            )
-            f = np.where(has, f + push, f)
+            push = (r_off / d[:, None]) * mag[:, None]
+        if com.pairs_circle and com.pairs_repel:
+            # one sum over [current | push] columns; each column adds alone
+            sums, has = _agent_sums(n_agents, ca, np.concatenate((currents, push), axis=1))
+            f = np.where(has, f + _circling(v, sums[:, :3], com) + sums[:, 3:], f)
+        else:
+            if ci.size:
+                sums, has = _agent_sums(n_agents, ca, currents)
+                f = np.where(has, f + _circling(v, sums, com), f)
+            if ri.size:
+                sums, has = _agent_sums(n_agents, ra, push)
+                f = np.where(has, f + sums, f)
     if manip_pull is not None:
         f = f + com.k_manip * manip_pull
     return f
 
 
-def _simulate(
-    x: np.ndarray,
-    v: np.ndarray,
-    n_steps: int,
-    scene: Scene,
-    com: Committee,
-    cfg: PlannerConfig,
-    rngs,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roll ``n_steps`` of every committee agent's own field in lockstep
-    from the (A, 3) states (x, v), agent ``a`` drawing random currents from
-    ``rngs[a]``.
+def _circling(v, cs, com: Committee):
+    """The circular-field force of the per-agent current sums ``cs``."""
+    return com.k_cf * (dots(v, v)[:, None] * cs - v * dots(v, cs)[:, None])
 
-    Returns positions (A, n_steps+1, 3), per-sample clearances
-    (A, n_steps+1) and velocities (A, n_steps+1, 3), from the start sample on.
+
+def rollout(
+    com: Committee, x: np.ndarray, v: np.ndarray, scene: Scene, cfg: PlannerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roll k = ``max(cfg.horizon, cfg.replan_every)`` steps of every
+    committee agent's own field in lockstep from its row of the (A, 3)
+    states (x, v), so that each rollout covers a committed segment.
+
+    Returns positions (A, k+1, 3), per-sample clearances (A, k+1) and
+    velocities (A, k+1, 3), from the start sample on, sample j at time
+    j * cfg.dt.
 
     Every ``REFRESH_STEPS`` steps one ``scene.neighbour_list`` query from
     the current rows lists the obstacles that can enter a shell or attain a
@@ -285,6 +304,10 @@ def _simulate(
     which no agent moves farther than ``REFRESH_STEPS - 1`` steps of
     ``v_max * dt``; those steps scan just them.
     """
+    if x.shape != (len(com.ids), 3) or v.shape != x.shape:
+        raise ValueError(f"x and v must have shape ({len(com.ids)}, 3)")
+    n_steps = max(cfg.horizon, cfg.replan_every)
+    rngs = com.rngs(cfg)
     pos = np.empty((x.shape[0], n_steps + 1, 3))
     vel = np.empty_like(pos)
     clr = np.empty((x.shape[0], n_steps + 1))
@@ -315,22 +338,6 @@ def _simulate(
         i += 1
 
 
-def rollout(
-    com: Committee, x: np.ndarray, v: np.ndarray, scene: Scene, cfg: PlannerConfig
-) -> tuple[list[Trajectory], np.ndarray]:
-    """Simulate ``max(cfg.horizon, cfg.replan_every)`` steps of every agent's
-    field from its own row of the (A, 3) states (x, v), all agents in
-    lockstep, so that each rollout covers a committed segment.  Returns one
-    trajectory per agent, in order, and their per-sample velocities
-    (A, k+1, 3)."""
-    if x.shape != (len(com.ids), 3) or v.shape != x.shape:
-        raise ValueError(f"x and v must have shape ({len(com.ids)}, 3)")
-    n_steps = max(cfg.horizon, cfg.replan_every)
-    pos, clr, vel = _simulate(x, v, n_steps, scene, com, cfg, com.rngs(cfg))
-    times = np.arange(n_steps + 1) * cfg.dt
-    return [Trajectory(times, pos[k], clr[k]) for k in range(len(com.ids))], vel
-
-
 def plan_step(
     com: Committee,
     x: np.ndarray,
@@ -339,14 +346,16 @@ def plan_step(
     cfg: PlannerConfig,
     weights: AgentCostWeights,
 ) -> tuple[int, Trajectory, np.ndarray]:
-    """Roll out every agent from the shared state (x, v), each (3,), and
-    return the one with the lowest agent_cost (ties go to the lowest id): its
-    id, its rollout and the rollout's per-sample velocities."""
+    """Roll out every agent from the shared state (x, v), each (3,), score
+    all rollouts with one ``agent_costs`` call and return the cheapest (ties
+    go to the lowest id): its id, its rollout and the rollout's per-sample
+    velocities."""
     n = len(com.ids)
     xs, vs = np.repeat(x[None], n, axis=0), np.repeat(v[None], n, axis=0)
-    trajs, vel = rollout(com, xs, vs, scene, cfg)
-    best = int(np.argmin([agent_cost(traj, scene, weights) for traj in trajs]))
-    return com.ids[best], trajs[best], vel[best]
+    pos, clr, vel = rollout(com, xs, vs, scene, cfg)
+    best = int(np.argmin(agent_costs(pos, scene, weights)))
+    times = np.arange(pos.shape[1]) * cfg.dt
+    return com.ids[best], Trajectory(times, pos[best], clr[best]), vel[best]
 
 
 def execute(

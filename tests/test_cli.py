@@ -193,6 +193,26 @@ class TestLabel:
         assert code == 0
         assert summary_path.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--init", "1"), ("--iters", "-1")])
+    def test_bad_budget_fails_before_any_scene_loads(
+        self, tmp_path, capsys, cheap_config, monkeypatch, flag, value
+    ):
+        scene_dir = tmp_path / "scenes"
+        scene_dir.mkdir()
+        io.save_scene(easy_scene(), scene_dir / "a.json")
+        io.save_scene(easy_scene(), scene_dir / "b.json")
+        loaded = []
+        original = io.load_scene
+        monkeypatch.setattr(io, "load_scene", lambda path: loaded.append(path) or original(path))
+        code, stdout, stderr = run_cli(
+            capsys, "label", "--scenes", str(scene_dir), "--out", str(tmp_path / "d.jsonl"),
+            "--config", cheap_config, flag, value,
+        )
+        assert code == 2
+        assert stdout == "" and "n_init >= 2" in stderr
+        assert loaded == []
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_empty_directory_fails(self, tmp_path, capsys, cheap_config):
         scene_dir = tmp_path / "scenes"
         scene_dir.mkdir()
@@ -329,6 +349,7 @@ class TestPlan:
             ("planner", "v_max", True),
             ("planner", "goal_tolerance", None),
             ("planner", "jacobian", [[float("nan")] * 3] * 3),
+            ("planner", "jacobian", [["1.5", True, 0], [0, 1, 0], [0, 0, 1]]),
             ("tuner", "n_init", 8.7),
             ("tuner", "n_iter", "0"),
             ("tuner", "n_init", 1),

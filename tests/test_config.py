@@ -55,6 +55,15 @@ class TestMerging:
         with pytest.raises(ValueError, match="jacobian must be finite"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[["1.5", True, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, None, 0], [0, 0, 1]], "eye"],
+    )
+    def test_non_number_jacobian_rejected(self, rows):
+        # strings and bools would load as numbers through np.asarray
+        with pytest.raises(ValueError, match="planner.jacobian must hold only numbers"):
+            run_config_from_dict({"planner": {"jacobian": rows}})
+
     def test_jacobian_list_converted(self):
         jac = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         cfg = run_config_from_dict({"planner": {"jacobian": jac}})

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from cfplan import cost
 from cfplan.cost import (
     D_CLAMP,
     LIST_BLOCK,
@@ -275,3 +276,68 @@ class TestBruteForceAgreement:
         got = trajectory_cost(traj, scene, w)
         want = brute_trajectory_cost(traj, scene, w)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def one_rollout_cost(pos, scene, w) -> float:
+    """``agent_cost`` of one rollout as numpy rounds it scored alone, with a
+    scan of every obstacle."""
+    c = w.path_length * (
+        float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum()) if pos.shape[0] >= 2 else 0.0
+    )
+    c += w.goal_distance * float(np.linalg.norm(scene.goal - pos[-1]))
+    if scene.radii.shape[0] > 0 and pos.shape[0] >= 2:
+        d_min = float(surface_clearances(pos[1:], scene.centers, scene.radii).min())
+        c += w.obstacle / max(d_min, D_CLAMP)
+    if pos.shape[0] >= 2:
+        below = np.maximum(scene.workspace.min - pos[1:], 0.0)
+        above = np.maximum(pos[1:] - scene.workspace.max, 0.0)
+        c += w.workspace * float((below**2).sum() + (above**2).sum())
+    return c
+
+
+def rollout_stack(seed: int, start, n_agents: int, samples: int, step: float) -> np.ndarray:
+    """(n_agents, samples, 3) random walks from a shared start."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(scale=step, size=(n_agents, samples - 1, 3))
+    walk = np.concatenate((np.zeros((n_agents, 1, 3)), np.cumsum(steps, axis=1)), axis=1)
+    return np.asarray(start, dtype=float) + walk
+
+
+class TestAgentCosts:
+    @pytest.mark.parametrize(
+        "which, samples",
+        [
+            ("obstruction", 21),
+            ("obstruction", 1),
+            ("obstruction", 2),
+            ("empty", 21),
+            ("empty", 1),
+            ("outside", 21),
+            ("desk", 51),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_per_rollout(self, which, samples, seed):
+        # one call over a stack scores each rollout bitwise as it scores alone
+        if which == "desk":
+            scene = randomize_scene(default_desk_randomizer(), seed)
+        elif which == "empty":
+            scene = empty_scene()
+        else:
+            scene = obstruction_scene()
+        step = 0.4 if which == "outside" else 0.01  # "outside" leaves the workspace
+        pos = rollout_stack(seed, scene.start, 7, samples, step)
+        w = AgentCostWeights(*np.random.default_rng(seed).uniform(0.1, 5.0, 4))
+        got = cost.agent_costs(pos, scene, w)
+        assert got.shape == (7,)
+        for k in range(7):
+            want = one_rollout_cost(pos[k], scene, w)
+            assert got[k].tobytes() == np.float64(want).tobytes()
+            assert agent_cost(traj_of(pos[k]), scene, w) == want
+        if which == "outside" and samples > 1:
+            assert all(workspace_violation(p[1:], scene.workspace) > 0.0 for p in pos)
+
+    @pytest.mark.parametrize("shape", [(7, 0, 3), (7, 3), (2, 5, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="positions must have shape"):
+            cost.agent_costs(np.zeros(shape), obstruction_scene(), AgentCostWeights())

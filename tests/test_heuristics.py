@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cfplan.fields import AgentKinematics
 from cfplan.heuristics import (
     HeuristicKind,
+    _flip_toward_goal,
     agent_heuristic,
     batch_currents,
     compute_current,
@@ -293,3 +294,161 @@ def test_currents_are_unit_norm(px, py, pz, vx, vy, vz, kind):
         rng=np.random.default_rng(5),
     )
     assert abs(float(np.linalg.norm(c)) - 1.0) <= 1e-9
+
+
+K = HeuristicKind
+# every heuristic; random agents with and without rows, one with no rows
+# between agents that have some, and agents with several rows
+MIXED_KINDS = (
+    K.RANDOM, K.VELOCITY, K.PATH_LENGTH, K.RANDOM, K.GOAL_VECTOR, K.OBSTACLE_DISTANCE,
+    K.PATH_LENGTH_OBSTACLE_DISTANCE, K.RANDOM, K.PATH_LENGTH, K.PATH_LENGTH_OBSTACLE_DISTANCE,
+    K.OBSTACLE_DISTANCE, K.VELOCITY,
+)
+MIXED_ROWS = (2, 3, 3, 0, 2, 0, 3, 1, 1, 2, 3, 2)
+
+
+def mixed_committee(seed: int, with_nn: bool):
+    """Arguments of ``batch_currents`` for ``MIXED_KINDS`` with degenerate
+    rows inside multi-row agents: an offset of zero (no d), a zero velocity
+    (d x v = 0), d along e_z with a zero velocity (d x e_z = 0 too), a
+    velocity parallel to d, and a nearest neighbour at the agent itself."""
+    rng = np.random.default_rng(seed)
+    a = len(MIXED_KINDS)
+    agent = np.repeat(np.arange(a), MIXED_ROWS)
+    x = rng.uniform(-1.0, 1.0, (a, 3))
+    v = rng.uniform(-1.0, 1.0, (a, 3))
+    offsets = rng.uniform(-0.3, 0.3, (agent.size, 3))
+    first = np.searchsorted(agent, np.arange(a))
+    offsets[first[2] + 1] = 0.0  # path agent: no d on its second row
+    offsets[first[6]] = 0.0  # combined agent: no d on its first row
+    v[11] = 0.0  # velocity agent: d x v = 0 on every row ...
+    offsets[first[11] + 1] = (0.0, 0.0, -0.2)  # ... and d x e_z = 0 on one
+    offsets[first[1] + 2] = -0.5 * v[1]  # velocity parallel to d
+    nn = None
+    if with_nn:
+        nn = rng.uniform(-1.0, 1.0, (agent.size, 3))
+        nn[first[10] + 1] = x[10]  # obstacle agent: neighbour offset of zero
+    return agent, x, v, offsets, nn
+
+
+def committee_rngs(kinds, seed):
+    return [np.random.default_rng([seed, a]) if k is K.RANDOM else None for a, k in enumerate(kinds)]
+
+
+class TestMixedCommittee:
+    @pytest.mark.parametrize("with_nn", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_one_agent_calls(self, seed, with_nn):
+        # each agent's rows, random draws included, are bitwise its own call's
+        agent, x, v, offsets, nn = mixed_committee(seed, with_nn)
+        rows = batch_currents(
+            MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, nn,
+            committee_rngs(MIXED_KINDS, seed),
+        )
+        solo_rngs = committee_rngs(MIXED_KINDS, seed)
+        for a, kind in enumerate(MIXED_KINDS):
+            mine = agent == a
+            solo = batch_currents(
+                (kind,), np.zeros(mine.sum(), dtype=np.intp), x[a : a + 1], v[a : a + 1],
+                offsets[mine], norms(offsets[mine]), GOAL, None if nn is None else nn[mine],
+                (solo_rngs[a],),
+            )
+            assert rows[mine].tobytes() == solo.tobytes(), kind
+
+    @pytest.mark.parametrize("with_nn", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_compute_current(self, seed, with_nn):
+        agent, x, v, offsets, nn = mixed_committee(seed, with_nn)
+        rows = batch_currents(
+            MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, nn,
+            committee_rngs(MIXED_KINDS, seed),
+        )
+        assert np.isfinite(rows).all()
+        rngs = committee_rngs(MIXED_KINDS, seed)
+        for k, a in enumerate(agent):
+            others = () if nn is None else (SphereObstacle(center=nn[k], radius=0.05),)
+            want = compute_current(
+                MIXED_KINDS[a],
+                kin(x[a], v[a]),
+                SphereObstacle(center=x[a] - offsets[k], radius=0.05),
+                GOAL,
+                others=others,
+                rng=rngs[a],
+            )
+            assert np.allclose(rows[k], want, rtol=0.0, atol=1e-12), (k, MIXED_KINDS[a])
+
+    def test_degenerate_rows_fall_back(self):
+        # no d gives a zero current; d x v = 0 falls back to d x e_z, and
+        # then to d x e_x, while the other rows of the batch stay unit
+        agent, x, v, offsets, _ = mixed_committee(0, False)
+        rows = batch_currents(
+            MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, None,
+            committee_rngs(MIXED_KINDS, 0),
+        )
+        first = np.searchsorted(agent, np.arange(len(MIXED_KINDS)))
+        still = np.zeros(agent.size, dtype=bool)
+        still[[first[2] + 1, first[6]]] = True
+        assert not rows[still].any()
+        assert np.allclose(norms(rows[~still]), 1.0, rtol=0.0, atol=1e-12)
+        d = -offsets[first[11]] / np.linalg.norm(offsets[first[11]])
+        ez = np.cross(d, [0.0, 0.0, 1.0])
+        assert np.allclose(rows[first[11]], ez / np.linalg.norm(ez), atol=1e-15)
+        assert np.array_equal(rows[first[11] + 1], [0.0, 1.0, 0.0])  # e_z x e_x
+
+    def test_each_call_reads_its_own_kinds(self):
+        # the same pairs under another committee get that committee's currents
+        agent, x, v, offsets, nn = mixed_committee(1, True)
+        other = tuple(reversed(MIXED_KINDS))
+        calls = [MIXED_KINDS, other, MIXED_KINDS, tuple(MIXED_KINDS), other]
+        got = [
+            batch_currents(k, agent, x, v, offsets, norms(offsets), GOAL, nn, committee_rngs(k, 1))
+            for k in calls
+        ]
+        assert got[0].tobytes() == got[2].tobytes() == got[3].tobytes()
+        assert got[1].tobytes() == got[4].tobytes() != got[0].tobytes()
+        rngs = committee_rngs(other, 1)
+        for k, a in enumerate(agent):
+            want = compute_current(
+                other[a], kin(x[a], v[a]), SphereObstacle(center=x[a] - offsets[k], radius=0.05),
+                GOAL, others=(SphereObstacle(center=nn[k], radius=0.05),), rng=rngs[a],
+            )
+            assert np.allclose(got[1][k], want, rtol=0.0, atol=1e-12)
+
+
+def flip_reference(c, v, gap, owner):
+    """``_flip_toward_goal`` one owner at a time: a matrix-vector product for
+    an owner with several rows, a dot product for one with a single row."""
+    out = np.empty_like(c)
+    for a in dict.fromkeys(owner):
+        rows = np.flatnonzero(np.asarray(owner) == a)
+        cv = c[rows] @ v[rows[0]] if rows.size > 1 else np.array([c[rows[0]] @ v[rows[0]]])
+        force = c[rows] * float(v[rows[0]] @ v[rows[0]]) - v[rows] * cv[:, None]
+        if rows.size > 1:
+            score = force @ gap[rows[0]]
+        else:
+            score = np.array([force[0] @ gap[rows[0]]])
+        out[rows] = np.where(score[:, None] < 0.0, -c[rows], c[rows])
+    return out
+
+
+def test_several_rows_flip_by_their_own_products():
+    # goal offsets almost normal to one row's force put its score within
+    # roundoff of zero, where a matrix-vector product and per-row dot
+    # products can disagree on the sign
+    rng = np.random.default_rng(5)
+    owner = [0, 0, 0, 1, 2, 2]
+    disagreements = 0
+    for _ in range(200):
+        c = rng.standard_normal((6, 3))
+        c /= norms(c)[:, None]
+        v = np.repeat(rng.standard_normal((3, 3)), [3, 1, 2], axis=0)
+        gap = np.empty_like(v)
+        for a, rows in ((0, [0, 1, 2]), (1, [3]), (2, [4, 5])):
+            row = rows[rng.integers(len(rows))]
+            force = c[row] * float(v[row] @ v[row]) - v[row] * float(v[row] @ c[row])
+            gap[rows] = np.cross(force, rng.standard_normal(3))
+        want = flip_reference(c, v, gap, owner)
+        assert _flip_toward_goal(c, v, gap, owner).tobytes() == want.tobytes()
+        rowwise = flip_reference(c, v, gap, list(range(6)))
+        disagreements += rowwise.tobytes() != want.tobytes()
+    assert disagreements > 0

@@ -57,7 +57,8 @@ def alone(com: Committee, k: int, scene: Scene, cfg: PlannerConfig, x=None, v=No
     the scene start."""
     x = scene.start[None] if x is None else x[k : k + 1]
     v = np.zeros((1, 3)) if v is None else v[k : k + 1]
-    return rollout(member(com, k), x, v, scene, cfg)[0][0]
+    pos, clr, _ = rollout(member(com, k), x, v, scene, cfg)
+    return Trajectory(np.arange(pos.shape[1]) * cfg.dt, pos[0], clr[0])
 
 
 class TestIntegrateStep:
@@ -78,6 +79,16 @@ class TestIntegrateStep:
     def test_cap_preserves_direction(self):
         _, v = euler_step(np.zeros(3), np.zeros(3), (300.0, 400.0, 0), mass=1.0, dt=1.0, v_max=1.0)
         assert np.allclose(v, [0.6, 0.8, 0.0], atol=1e-12)
+
+    def test_caps_each_row_past_a_nan_row(self):
+        # rows below, at and above the cap in one step; a NaN row, first
+        # here, leaves the others to their own caps
+        v = np.array([[np.nan, 0.0, 0.0], [0.3, 0.4, 0.0], [3.0, 4.0, 0.0], [0.0, 1.0, 0.0]])
+        x, v_new = planner._euler_step(np.zeros((4, 3)), v, np.zeros((4, 3)), 1.0, 0.1, 1.0)
+        assert np.isnan(v_new[0, 0])
+        assert np.array_equal(v_new[[1, 3]], v[[1, 3]])
+        assert np.allclose(v_new[2], [0.6, 0.8, 0.0], rtol=0.0, atol=1e-15)
+        assert np.array_equal(x[1:], 0.1 * v_new[1:])
 
     def test_zero_force_coasts(self):
         x, _ = euler_step((1.0, 0, 0), (0.5, 0, 0), (0, 0, 0), mass=1.0, dt=0.1, v_max=1.0)
@@ -117,6 +128,28 @@ class TestCommittee:
         p[:] = 9.0
         assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
 
+    @pytest.mark.parametrize(
+        "k_cf, k_r, circle, repel",
+        [
+            (1.0, 1.0, True, True),
+            (0.0, 0.0, True, True),
+            ((0, 1, 1, 0, 1, 1, 1), 1.0, False, True),
+            (1.0, (0, 1, 1, 0, 1, 1, 1), True, False),
+            ((0, 1, 1, 0, 1, 1, 1), (0, 1, 1, 0, 1, 1, 1), True, True),
+            ((0, 1, 1, 0, 1, 1, 1), (1, 0, 1, 1, 1, 1, 1), False, False),
+        ],
+    )
+    def test_pair_flags(self, k_cf, k_r, circle, repel):
+        # whether every agent that can have pairs circles, and repels
+        p = make_params(k_p=1.0, r_d=0.3)
+        p[14:21], p[28:35] = k_cf, k_r
+        com = Committee.of(p, PlannerConfig())
+        assert (com.pairs_circle, com.pairs_repel) == (circle, repel)
+        assert (member(com, 0).pairs_circle, member(com, 0).pairs_repel) == (
+            bool(com.circling[0] or not com.repelling[0]),
+            bool(com.repelling[0] or not com.circling[0]),
+        )
+
     def test_random_streams_are_fresh_per_call(self):
         cfg = PlannerConfig(master_seed=3)
         com = Committee.of(make_params(), cfg)
@@ -153,8 +186,8 @@ class TestRollout:
         for a in (x, v):
             a.flags.writeable = False
         x0, v0 = x.copy(), v.copy()
-        trajs, _ = rollout(com, x, v, scene, cfg)
-        assert all(np.array_equal(t.positions[0], row) for t, row in zip(trajs, x0))
+        pos, _, _ = rollout(com, x, v, scene, cfg)
+        assert np.array_equal(pos[:, 0], x0)
         x1, v1 = scene.start, np.zeros(3)
         x1.flags.writeable = v1.flags.writeable = False
         plan_step(com, x1, v1, scene, cfg, WEIGHTS)
@@ -252,6 +285,29 @@ LOCKSTEP_P = np.r_[
 CFG_JAC = PlannerConfig(master_seed=4, jacobian=JACOBIAN)
 
 
+
+def with_gains(k_cf, k_r) -> np.ndarray:
+    p = LOCKSTEP_P.copy()
+    p[14:21] *= k_cf
+    p[28:35] *= k_r
+    return p
+
+
+ODD, THIRD = np.arange(7) % 2, (np.arange(7) % 3 != 0).astype(float)
+# which agents circle (k_cf != 0) and repel (k_r != 0): every one, the same
+# few, some of either, disjoint sets, and one kind of force only
+GAIN_PATTERNS = {
+    "all": LOCKSTEP_P,
+    "same_some": with_gains(ODD, ODD),
+    "some_circle": with_gains(ODD, 1.0),
+    "some_repel": with_gains(1.0, THIRD),
+    "disjoint": with_gains(ODD, 1.0 - ODD),
+    "overlapping": with_gains(ODD, THIRD),
+    "circle_only": with_gains(1.0, 0.0),
+    "repel_only": with_gains(0.0, 1.0),
+}
+
+
 class TestLockstep:
     @pytest.mark.parametrize("which", ["obstruction", "clutter", "desk"])
     def test_committee_equals_single_agent_rollouts(self, which):
@@ -265,12 +321,37 @@ class TestLockstep:
         cfg = PlannerConfig(horizon=25, master_seed=4, jacobian=JACOBIAN)
         com = Committee.of(LOCKSTEP_P, cfg)
         x, v = spread_states(cfg.n_agents, scene.start, seed=2)
-        together, _ = rollout(com, x, v, scene, cfg)
-        assert len(together) == 7
-        for k, traj in enumerate(together):
+        pos, clr, vel = rollout(com, x, v, scene, cfg)
+        assert pos.shape[0] == clr.shape[0] == vel.shape[0] == 7
+        for k in range(7):
             solo = alone(com, k, scene, cfg, x, v)
-            assert np.array_equal(traj.positions, solo.positions)
-            assert np.array_equal(traj.clearances, solo.clearances)
+            assert np.array_equal(pos[k], solo.positions)
+            assert np.array_equal(clr[k], solo.clearances)
+
+    @pytest.mark.parametrize("gains", GAIN_PATTERNS)
+    def test_gain_patterns_equal_single_agent_rollouts(self, monkeypatch, gains):
+        # only circling agents reach the currents pass, and each agent's
+        # rollout is its A = 1 rollout byte for byte
+        scene = clutter_scene()
+        cfg = PlannerConfig(horizon=15, master_seed=4, jacobian=JACOBIAN)
+        com = Committee.of(GAIN_PATTERNS[gains], cfg)
+        passes = []
+        original = planner.batch_currents
+
+        def recording(kinds, agent, *args):
+            passes.append(agent)
+            return original(kinds, agent, *args)
+
+        monkeypatch.setattr(planner, "batch_currents", recording)
+        x, v = spread_states(cfg.n_agents, scene.start, seed=2)
+        pos, clr, vel = rollout(com, x, v, scene, cfg)
+        seen = np.unique(np.concatenate(passes)) if passes else np.zeros(0, dtype=int)
+        assert np.all(com.circling[seen])
+        assert len(passes) > 0 or not com.circling.any()
+        for k in range(cfg.n_agents):
+            solo = alone(com, k, scene, cfg, x, v)
+            assert pos[k].tobytes() == solo.positions.tobytes()
+            assert clr[k].tobytes() == solo.clearances.tobytes()
 
     def test_far_apart_agents_equal_single_agent_rollouts(self):
         # agents spread over a desk scene share one neighbour list, widened by
@@ -282,51 +363,61 @@ class TestLockstep:
         budget = (cfg.horizon * cfg.v_max * cfg.dt, detection_radius(LOCKSTEP_P))
         shared = scene.neighbour_list(x, *budget).size
         assert all(scene.neighbour_list(row[None], *budget).size < shared for row in x)
-        for k, traj in enumerate(rollout(com, x, v, scene, cfg)[0]):
+        pos, clr, _ = rollout(com, x, v, scene, cfg)
+        for k in range(cfg.n_agents):
             solo = alone(com, k, scene, cfg, x, v)
-            assert traj.positions.tobytes() == solo.positions.tobytes()
-            assert traj.clearances.tobytes() == solo.clearances.tobytes()
+            assert pos[k].tobytes() == solo.positions.tobytes()
+            assert clr[k].tobytes() == solo.clearances.tobytes()
 
     @pytest.mark.parametrize("which", ["obstruction", "clutter"])
     def test_forces_match_scalar_oracle(self, which):
-        # one lockstep force evaluation against fields.steering_force with
-        # currents from heuristics.compute_current, agent by agent
-        n = CFG_JAC.n_agents
-        if which == "obstruction":
-            # 0.3 m from the sphere center, 0.15 m from its surface
-            scene = obstruction_scene()
-            x, v = spread_states(n, scene.start + (0.1, 0, 0), 3, 0.08)
-        else:
-            scene = clutter_scene()
-            x, v = spread_states(n, scene.start, seed=3)
-        cfg = CFG_JAC
-        com = Committee.of(LOCKSTEP_P, cfg)
-        r_d = detection_radius(LOCKSTEP_P)
-        offsets = x[:, None, :] - scene.centers
-        dist = norms(offsets)
-        surf = dist - scene.radii
-        assert surf.min() > 0.0  # the scalar repulsion rejects overlaps
-        assert np.all(np.any(surf <= r_d, axis=1))  # every agent steers
-        force = planner._forces(
-            x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
-            com, com.rngs(cfg), cfg.manip_direction,
-        )
-        obstacles = scene.obstacles
-        for k, (kind, rng) in enumerate(zip(com.kinds, com.rngs(cfg))):
-            state = AgentKinematics(x[k], v[k])
-            currents = [
-                compute_current(
-                    kind, state, o, scene.goal,
-                    others=obstacles[:i] + obstacles[i + 1 :], rng=rng,
-                )
-                if o.surface_distance(state.position) <= r_d
-                else np.zeros(3)
-                for i, o in enumerate(obstacles)
-            ]
-            gains = agent_gains(LOCKSTEP_P, k, n)
-            want = steering_force(state, scene.goal, obstacles, currents, gains, r_d, JACOBIAN)
-            scale = max(float(np.linalg.norm(want)), 1.0)
-            assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, kind
+        assert_forces_match_scalar_oracle(which, LOCKSTEP_P)
+
+    @pytest.mark.parametrize("gains", [name for name in GAIN_PATTERNS if name != "all"])
+    @pytest.mark.parametrize("which", ["obstruction", "clutter"])
+    def test_gain_pattern_forces_match_scalar_oracle(self, which, gains):
+        assert_forces_match_scalar_oracle(which, GAIN_PATTERNS[gains])
+
+
+def assert_forces_match_scalar_oracle(which: str, p: np.ndarray) -> None:
+    """One lockstep force evaluation against fields.steering_force with
+    currents from heuristics.compute_current, agent by agent."""
+    n = CFG_JAC.n_agents
+    if which == "obstruction":
+        # 0.3 m from the sphere center, 0.15 m from its surface
+        scene = obstruction_scene()
+        x, v = spread_states(n, scene.start + (0.1, 0, 0), 3, 0.08)
+    else:
+        scene = clutter_scene()
+        x, v = spread_states(n, scene.start, seed=3)
+    cfg = CFG_JAC
+    com = Committee.of(p, cfg)
+    r_d = detection_radius(p)
+    offsets = x[:, None, :] - scene.centers
+    dist = norms(offsets)
+    surf = dist - scene.radii
+    assert surf.min() > 0.0  # the scalar repulsion rejects overlaps
+    assert np.all(np.any(surf <= r_d, axis=1))  # every agent steers
+    force = planner._forces(
+        x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
+        com, com.rngs(cfg), cfg.manip_direction,
+    )
+    obstacles = scene.obstacles
+    for k, (kind, rng) in enumerate(zip(com.kinds, com.rngs(cfg))):
+        state = AgentKinematics(x[k], v[k])
+        currents = [
+            compute_current(
+                kind, state, o, scene.goal,
+                others=obstacles[:i] + obstacles[i + 1 :], rng=rng,
+            )
+            if o.surface_distance(state.position) <= r_d
+            else np.zeros(3)
+            for i, o in enumerate(obstacles)
+        ]
+        gains = agent_gains(p, k, n)
+        want = steering_force(state, scene.goal, obstacles, currents, gains, r_d, JACOBIAN)
+        scale = max(float(np.linalg.norm(want)), 1.0)
+        assert np.linalg.norm(force[k] - want) <= 1e-12 * scale, kind
 
 
 def every_obstacle(scene, rows, travel, reach=-np.inf):
@@ -355,15 +446,13 @@ class TestRefreshedLists:
             return near
 
         monkeypatch.setattr(Scene, "neighbour_list", recording)
-        trajs, vel = rollout(com, x, v, scene, cfg)
+        got = rollout(com, x, v, scene, cfg)
         assert len(sizes) == horizon // planner.REFRESH_STEPS + 1
         assert max(sizes) < scene.radii.shape[0]
         monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
-        whole, whole_vel = rollout(com, x, v, scene, cfg)
-        assert vel.tobytes() == whole_vel.tobytes()
-        for got, want in zip(trajs, whole):
-            assert got.positions.tobytes() == want.positions.tobytes()
-            assert got.clearances.tobytes() == want.clearances.tobytes()
+        want = rollout(com, x, v, scene, cfg)
+        for got_rows, want_rows in zip(got, want):  # positions, clearances, velocities
+            assert got_rows.tobytes() == want_rows.tobytes()
 
     def test_full_speed_toward_a_row_of_spheres(self, monkeypatch):
         # one agent runs at v_max toward a row of small spheres just off its
@@ -379,13 +468,13 @@ class TestRefreshedLists:
         cfg = PlannerConfig(n_agents=1, horizon=50)
         com = Committee.of(make_params(1, k_p=1000.0, k_r=1e-3, r_d=0.3), cfg)
         x, v = scene.start[None], np.array([[cfg.v_max, 0.0, 0.0]])
-        (got,), vel = rollout(com, x, v, scene, cfg)
+        pos, clr, vel = rollout(com, x, v, scene, cfg)
         assert np.allclose(norms(vel[0]), cfg.v_max, rtol=1e-12, atol=0.0)
         monkeypatch.setattr(Scene, "neighbour_list", every_obstacle)
-        (want,), want_vel = rollout(com, x, v, scene, cfg)
+        want_pos, want_clr, want_vel = rollout(com, x, v, scene, cfg)
         assert vel.tobytes() == want_vel.tobytes()
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert got.clearances.tobytes() == want.clearances.tobytes()
+        assert pos.tobytes() == want_pos.tobytes()
+        assert clr.tobytes() == want_clr.tobytes()
 
     def test_execute_equals_whole_scene_execute(self, monkeypatch):
         # a default-settings plan, start clearance and every replan included

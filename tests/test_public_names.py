@@ -39,7 +39,9 @@ def test_execute_runs_public_rollout_and_batch_currents(monkeypatch):
     p = make_params(k_p=10.0, k_v=5.0, k_cf=30.0, k_r=0.5, r_d=0.3)
     result = planner.execute(obstruction_scene(), p, CFG, AgentCostWeights())
     assert len(rollouts) == len(result.best_agent_history) > 0
-    assert all(len(trajs) == CFG.n_agents for trajs, _ in rollouts)
+    assert all(
+        pos.shape[0] == clr.shape[0] == vel.shape[0] == CFG.n_agents for pos, clr, vel in rollouts
+    )
     assert sum(rows.shape[0] for rows in currents) > 0
 
 
