@@ -205,7 +205,7 @@ def _flip_toward_goal(c, v, gap, owner: list[int]):
     # given per row.  A one-row matrix product is a BLAS dot, which ``dots``
     # reproduces for all rows at once; an agent with several rows needs its
     # own matrix-vector product, which rounds differently.  Rows of one
-    # owner are adjacent, as owners do not decrease.
+    # owner are adjacent, as owners do not decrease.  Flips c in place.
     several = []
     if len(set(owner)) < len(owner):
         cut = [k for k in range(1, len(owner)) if owner[k] != owner[k - 1]]
@@ -217,7 +217,7 @@ def _flip_toward_goal(c, v, gap, owner: list[int]):
     score = dots(force, gap)
     for s, e in several:
         score[s:e] = force[s:e] @ gap[s]
-    return np.where(score[:, None] < 0.0, -c, c)
+    return np.negative(c, out=c, where=(score < 0.0)[:, None])
 
 
 def _unit(raw: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -448,7 +448,7 @@ def test_several_rows_flip_by_their_own_products():
             force = c[row] * float(v[row] @ v[row]) - v[row] * float(v[row] @ c[row])
             gap[rows] = np.cross(force, rng.standard_normal(3))
         want = flip_reference(c, v, gap, owner)
-        assert _flip_toward_goal(c, v, gap, owner).tobytes() == want.tobytes()
+        assert _flip_toward_goal(c.copy(), v, gap, owner).tobytes() == want.tobytes()
         rowwise = flip_reference(c, v, gap, list(range(6)))
         disagreements += rowwise.tobytes() != want.tobytes()
     assert disagreements > 0
