@@ -7,13 +7,7 @@ gains on new scenes via nearest neighbors over a point-cloud descriptor.
 """
 
 from .bo import BoResult, bo_minimize
-from .cost import (
-    AgentCostWeights,
-    TrajectoryCostWeights,
-    agent_cost,
-    agent_costs,
-    trajectory_cost,
-)
+from .cost import AgentCostWeights, TrajectoryCostWeights, agent_cost, agent_costs, trajectory_cost
 from .fields import (
     AgentKinematics,
     GainSet,

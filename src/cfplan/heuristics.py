@@ -14,7 +14,6 @@ from the agent to the obstacle center.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,34 +75,29 @@ def _with_fallback(raw: np.ndarray, dhat: np.ndarray) -> np.ndarray:
     return unit
 
 
-# per-agent switches, one column each: w is the goal offset when there are no
-# nearest-neighbour centers, w is the goal offset, w is the neighbour offset,
-# the current flips toward the goal, the current is the combined kind's
-_GOAL_OR_NEIGHBOUR_W, _GOAL_W, _NEIGHBOUR_W, _FLIP, _COMBINED = range(5)
-_SWITCHES = (
-    (HeuristicKind.GOAL_VECTOR, HeuristicKind.OBSTACLE_DISTANCE),
-    (HeuristicKind.GOAL_VECTOR,),
-    (HeuristicKind.OBSTACLE_DISTANCE,),
-    (HeuristicKind.PATH_LENGTH, HeuristicKind.PATH_LENGTH_OBSTACLE_DISTANCE),
-    (HeuristicKind.PATH_LENGTH_OBSTACLE_DISTANCE,),
-)
+# per-agent switches, one column each: w is the neighbour offset, the
+# current flips toward the goal, the current is the combined kind's
+_NEIGHBOUR_W, _FLIP, _COMBINED = range(3)
 
 
-class _Layout(NamedTuple):
-    """What ``batch_currents`` needs to know of a committee's heuristics."""
+def _committee_layout(kinds: tuple[HeuristicKind, ...]):
+    """What ``batch_currents`` needs to know of a committee's heuristics: the
+    (A, 1) masks of agents whose w is the goal offset without and with
+    nearest-neighbour centers, the (A, 3) switches, the random agents and
+    the edges a, a + 1 of each one's rows."""
+    K = HeuristicKind
 
-    switches: np.ndarray  # (A, 5) bool, columns as in _SWITCHES
-    goal_w: tuple[np.ndarray, np.ndarray]  # switch columns 0 and 1 as (A, 1)
-    random: tuple[int, ...]  # the random agents, ascending
-    random_edges: np.ndarray  # a, a + 1 for each random agent a
+    def agents(*on):
+        return np.array([k in on for k in kinds], dtype=bool)[:, None]
 
-
-def _committee_layout(kinds: tuple[HeuristicKind, ...]) -> _Layout:
-    switches = np.array([[k in kinds_on for kinds_on in _SWITCHES] for k in kinds])
-    random = tuple(a for a, k in enumerate(kinds) if k is HeuristicKind.RANDOM)
-    return _Layout(
-        switches,
-        (switches[:, _GOAL_OR_NEIGHBOUR_W, None], switches[:, _GOAL_W, None]),
+    random = tuple(a for a, k in enumerate(kinds) if k is K.RANDOM)
+    return (
+        (agents(K.GOAL_VECTOR, K.OBSTACLE_DISTANCE), agents(K.GOAL_VECTOR)),
+        np.hstack((
+            agents(K.OBSTACLE_DISTANCE),
+            agents(K.PATH_LENGTH, K.PATH_LENGTH_OBSTACLE_DISTANCE),
+            agents(K.PATH_LENGTH_OBSTACLE_DISTANCE),
+        )),
         random,
         np.array([(a, a + 1) for a in random], dtype=np.intp).ravel(),
     )
@@ -111,15 +105,14 @@ def _committee_layout(kinds: tuple[HeuristicKind, ...]) -> _Layout:
 
 # the last committee's layout, found by identity: a planner passes the same
 # kinds tuple on every step of a plan, and Enum members hash in Python
-_last_layout: tuple[tuple[HeuristicKind, ...], _Layout] | None = None
+_last_layout: tuple = (None, None)
 
 
-def _layout(kinds: tuple[HeuristicKind, ...]) -> _Layout:
+def _layout(kinds: tuple[HeuristicKind, ...]):
     global _last_layout
-    last = _last_layout
-    if last is None or last[0] is not kinds:
-        last = _last_layout = (kinds, _committee_layout(kinds))
-    return last[1]
+    if _last_layout[0] is not kinds:
+        _last_layout = (kinds, _committee_layout(kinds))
+    return _last_layout[1]
 
 
 def batch_currents(
@@ -151,8 +144,8 @@ def batch_currents(
     m = agent.shape[0]
     if m == 0:
         return np.zeros((0, 3))
-    layout = _layout(kinds)
-    switches = layout.switches.take(agent, axis=0)
+    goal_w, switches, random, random_edges = _layout(kinds)
+    switches = switches.take(agent, axis=0)
     # d = (center - x) / |center - x|, unscaled when the norm is tiny;
     # 0 - (x - center) rounds like center - x, signed zeros included
     dhat = _scale_rows(0.0 - offsets, distances)[0]
@@ -163,7 +156,7 @@ def batch_currents(
     # velocity and an obstacle-distance current, so its second vector rides
     # along in extra rows m, m + 1, ...
     to_goal = goal - positions
-    w = np.where(layout.goal_w[nn_centers is not None], to_goal, velocities).take(agent, axis=0)
+    w = np.where(goal_w[nn_centers is not None], to_goal, velocities).take(agent, axis=0)
     if nn_centers is not None:
         neighbour = positions.take(agent, axis=0) - nn_centers
         w = np.where(switches[:, _NEIGHBOUR_W, None], neighbour, w)
@@ -177,9 +170,9 @@ def batch_currents(
         d = np.concatenate((dhat, dhat.take(both, axis=0)))
         w = np.concatenate((w, second))
     raw = cross(d, w)
-    if layout.random:
-        edges = agent.searchsorted(layout.random_edges).tolist()
-        for a, s, e in zip(layout.random, edges[::2], edges[1::2]):
+    if random:
+        edges = agent.searchsorted(random_edges).tolist()
+        for a, s, e in zip(random, edges[::2], edges[1::2]):
             if e > s:
                 raw[s:e] = rngs[a].standard_normal((e - s, 3))
     unit = _with_fallback(raw, d)
@@ -206,10 +199,8 @@ def _flip_toward_goal(c, v, gap, owner: list[int]):
     # reproduces for all rows at once; an agent with several rows needs its
     # own matrix-vector product, which rounds differently.  Rows of one
     # owner are adjacent, as owners do not decrease.  Flips c in place.
-    several = []
-    if len(set(owner)) < len(owner):
-        cut = [k for k in range(1, len(owner)) if owner[k] != owner[k - 1]]
-        several = [(s, e) for s, e in zip([0, *cut], [*cut, len(owner)]) if e - s > 1]
+    cut = [k for k in range(1, len(owner)) if owner[k] != owner[k - 1]]
+    several = [(s, e) for s, e in zip([0, *cut], [*cut, len(owner)]) if e - s > 1]
     cv = dots(c, v)
     for s, e in several:
         cv[s:e] = c[s:e] @ v[s]
