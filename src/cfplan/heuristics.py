@@ -110,9 +110,10 @@ _last_layout: tuple = (None, None)
 
 def _layout(kinds: tuple[HeuristicKind, ...]):
     global _last_layout
-    if _last_layout[0] is not kinds:
-        _last_layout = (kinds, _committee_layout(kinds))
-    return _last_layout[1]
+    last = _last_layout  # one read, so a concurrent call cannot pair other kinds
+    if last[0] is not kinds:
+        last = _last_layout = (kinds, _committee_layout(kinds))
+    return last[1]
 
 
 def batch_currents(

@@ -285,7 +285,6 @@ LOCKSTEP_P = np.r_[
 CFG_JAC = PlannerConfig(master_seed=4, jacobian=JACOBIAN)
 
 
-
 def with_gains(k_cf, k_r) -> np.ndarray:
     p = LOCKSTEP_P.copy()
     p[14:21] *= k_cf

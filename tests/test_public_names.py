@@ -50,7 +50,7 @@ def test_costs_scan_through_public_surface_clearances(monkeypatch):
     scans = record_results(monkeypatch, cost, "surface_clearances")
     scene = obstruction_scene()
     traj = planner.execute(scene, make_params(k_p=10.0, k_v=5.0), CFG, AgentCostWeights()).trajectory
-    assert len(scans) > 0  # the start sample and every rollout's agent_cost
+    assert len(scans) > 0  # the start sample and every replan's agent_costs
     scans.clear()
     cost.trajectory_cost(traj, scene, TrajectoryCostWeights())
     assert sum(rows.shape[0] for rows in scans) == len(traj) - 1
