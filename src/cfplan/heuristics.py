@@ -185,14 +185,14 @@ def batch_currents(
             unit.take(path, axis=0),
             velocities.take(owner, axis=0),
             to_goal.take(owner, axis=0),
-            owner.tolist(),
+            owner,
         )
     if both.size:
         unit[both] = _with_fallback(unit.take(both, axis=0) + unit[m:], dhat.take(both, axis=0))
     return unit[:m]
 
 
-def _flip_toward_goal(c, v, gap, owner: list[int]):
+def _flip_toward_goal(c, v, gap, owner):
     # keep the velocity-heuristic current, but flip its sign if the opposite
     # rotation produces a force better aligned with the goal direction:
     # score = (c |v|^2 - v (v . c)) . (goal - x), with v and gap = goal - x
@@ -200,8 +200,8 @@ def _flip_toward_goal(c, v, gap, owner: list[int]):
     # reproduces for all rows at once; an agent with several rows needs its
     # own matrix-vector product, which rounds differently.  Rows of one
     # owner are adjacent, as owners do not decrease.  Flips c in place.
-    cut = [k for k in range(1, len(owner)) if owner[k] != owner[k - 1]]
-    several = [(s, e) for s, e in zip([0, *cut], [*cut, len(owner)]) if e - s > 1]
+    cut = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    several = [(s, e) for s, e in zip([0, *cut], [*cut, owner.shape[0]]) if e - s > 1]
     cv = dots(c, v)
     for s, e in several:
         cv[s:e] = c[s:e] @ v[s]

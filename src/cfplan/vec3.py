@@ -27,8 +27,7 @@ def norms(m: np.ndarray) -> np.ndarray:
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # component i is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3
-    a_next, a_prev = a.take(_NEXT, axis=-1), a.take(_PREV, axis=-1)
-    return a_next * b.take(_PREV, axis=-1) - a_prev * b.take(_NEXT, axis=-1)
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

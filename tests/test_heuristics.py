@@ -419,8 +419,8 @@ def flip_reference(c, v, gap, owner):
     """``_flip_toward_goal`` one owner at a time: a matrix-vector product for
     an owner with several rows, a dot product for one with a single row."""
     out = np.empty_like(c)
-    for a in dict.fromkeys(owner):
-        rows = np.flatnonzero(np.asarray(owner) == a)
+    for a in dict.fromkeys(owner.tolist()):
+        rows = np.flatnonzero(owner == a)
         cv = c[rows] @ v[rows[0]] if rows.size > 1 else np.array([c[rows[0]] @ v[rows[0]]])
         force = c[rows] * float(v[rows[0]] @ v[rows[0]]) - v[rows] * cv[:, None]
         if rows.size > 1:
@@ -436,7 +436,7 @@ def test_several_rows_flip_by_their_own_products():
     # roundoff of zero, where a matrix-vector product and per-row dot
     # products can disagree on the sign
     rng = np.random.default_rng(5)
-    owner = [0, 0, 0, 1, 2, 2]
+    owner = np.array([0, 0, 0, 1, 2, 2])
     disagreements = 0
     for _ in range(200):
         c = rng.standard_normal((6, 3))
@@ -449,6 +449,6 @@ def test_several_rows_flip_by_their_own_products():
             gap[rows] = np.cross(force, rng.standard_normal(3))
         want = flip_reference(c, v, gap, owner)
         assert _flip_toward_goal(c.copy(), v, gap, owner).tobytes() == want.tobytes()
-        rowwise = flip_reference(c, v, gap, list(range(6)))
+        rowwise = flip_reference(c, v, gap, np.arange(6))
         disagreements += rowwise.tobytes() != want.tobytes()
     assert disagreements > 0
