@@ -1,15 +1,16 @@
 """Cost functions.
 
-``agent_costs`` ranks a replan's candidate rollouts, all in one call
-(``agent_cost`` scores one); ``trajectory_cost`` scores a full executed
-trajectory and is the objective the tuner minimizes.
-Both recompute obstacle distances from the scene rather than trusting the
-clearance values stored on the trajectory, so they also score trajectories
-that were produced elsewhere.  Both take them from ``scene_clearances``, which
-splits the samples into blocks of ``LIST_BLOCK`` rows and runs the brute
-``surface_clearances`` scan of each block over just the obstacles of its own
-``Scene.neighbour_list``; those include one attaining each sample's minimum,
-so the result is bitwise that of a scan over the whole scene.
+``agent_costs`` ranks a replan's candidate rollouts, all in one call, from
+the per-sample clearances the rollouts recorded; ``agent_cost`` scores one
+trajectory and ``trajectory_cost`` scores a full executed trajectory, the
+objective the tuner minimizes.  Those two recompute obstacle distances from
+the scene rather than trusting the clearance values stored on the
+trajectory, so they also score trajectories that were produced elsewhere.
+They take them from ``scene_clearances``, which splits the samples into
+blocks of ``LIST_BLOCK`` rows and runs the brute ``surface_clearances`` scan
+of each block over just the obstacles of its own ``Scene.neighbour_list``;
+those include one attaining each sample's minimum, so the result is bitwise
+that of a scan over the whole scene.
 
 Distances to obstacles are surface distances (negative inside a sphere) and
 are clamped at 1e-6 before entering any 1/d term, so collisions produce large
@@ -113,36 +114,40 @@ def _path_lengths(stacks: np.ndarray) -> np.ndarray:
     return norms(np.diff(stacks, axis=1)).sum(axis=1)
 
 
-def agent_costs(positions: np.ndarray, scene: Scene, weights: AgentCostWeights) -> np.ndarray:
-    """Rollout scores of the (A, s, 3) sample stacks ``positions``, (A,):
-    path length + final distance to ``scene.goal`` + an inverse-clearance
-    penalty + squared workspace violations.
+def agent_costs(
+    positions: np.ndarray, clearances: np.ndarray, scene: Scene, weights: AgentCostWeights
+) -> np.ndarray:
+    """Rollout scores of the (A, s, 3) sample stacks ``positions``, whose
+    (A, s) ``clearances`` are each sample's surface distance to the nearest
+    obstacle, (A,): path length + final distance to ``scene.goal`` + an
+    inverse-clearance penalty + squared workspace violations.
 
     The clearance and workspace terms skip the first sample (the shared start
     state of all candidate rollouts).  The clearance term uses the single
-    closest approach over all later samples and obstacles and vanishes when
-    the scene has no obstacles.  Each score is bitwise the one its rollout
-    gets alone.
+    closest approach over all later samples and vanishes when the scene has
+    no obstacles.  Each score is bitwise the one its rollout gets alone.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos, clr = np.asarray(positions, dtype=float), np.asarray(clearances, dtype=float)
     if pos.ndim != 3 or pos.shape[1] == 0 or pos.shape[2] != 3:
         raise ValueError(f"positions must have shape (A, s >= 1, 3), got {pos.shape}")
-    n, s = pos.shape[:2]
+    if clr.shape != pos.shape[:2]:
+        raise ValueError(f"clearances must have shape {pos.shape[:2]}, got {clr.shape}")
     gap = scene.goal - pos[:, -1]
     c = weights.path_length * _path_lengths(pos)
     c = c + weights.goal_distance * np.sqrt(dots(gap, gap))
-    if s >= 2:
+    if pos.shape[1] >= 2:
         later = pos[:, 1:]
         if scene.radii.shape[0] > 0:
-            d_min = np.minimum.reduce(scene_clearances(later, scene).reshape(n, s - 1), axis=1)
+            d_min = np.minimum.reduce(clr[:, 1:], axis=1)
             c = c + weights.obstacle / np.maximum(d_min, D_CLAMP)
         c = c + weights.workspace * _violations(later, scene.workspace)
     return c
 
 
 def agent_cost(traj, scene: Scene, weights: AgentCostWeights) -> float:
-    """``agent_costs`` of one trajectory."""
-    return float(agent_costs(traj.positions[None], scene, weights)[0])
+    """``agent_costs`` of one trajectory, its clearances scanned from the scene."""
+    clr = scene_clearances(traj.positions, scene)
+    return float(agent_costs(traj.positions[None], clr[None], scene, weights)[0])
 
 
 def trajectory_cost(traj, scene: Scene, weights: TrajectoryCostWeights) -> float:

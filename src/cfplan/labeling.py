@@ -232,8 +232,8 @@ def build_dataset(
     on_scene=None,
 ) -> dict:
     """Randomize ``n_scenes`` scenes (one per seed, see ``expand_seeds``),
-    label each, append the successes to ``out_path`` as JSON lines, and
-    return a summary dict."""
+    label each, write the successes to ``out_path`` as JSON lines (replacing
+    any earlier contents), and return a summary dict."""
     if n_scenes < 1:
         raise ValueError("n_scenes must be >= 1")
     seed_list = expand_seeds(n_scenes, seeds)

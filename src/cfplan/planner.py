@@ -3,7 +3,8 @@
 A small committee of virtual agents shares the robot state.  Every agent
 carries its own gains and current heuristic; at each replanning step all of
 them simulate a short rollout from the current state, one
-``cost.agent_costs`` call scores every rollout, the cheapest wins, and the
+``cost.agent_costs`` call scores every rollout from the clearances the
+rollout recorded, the cheapest wins, and the
 robot follows the winning rollout itself until the next replan: the
 committed segment is that rollout's first ``replan_every`` steps, cut short
 at the first sample within the goal tolerance.  Integration is
@@ -14,9 +15,10 @@ One lockstep kernel, ``rollout``, does all simulation.  It advances an
 once per plan from the parameter vector) at once and returns (A, k+1, 3)
 positions and velocities and (A, k+1) clearances: per step one (A, m)
 surface-distance pass, one shell mask whose (agent, obstacle) pairs, their
-offsets and distances taken once, feed one currents pass
-(``heuristics.batch_currents``, dispatching on each pair's heuristic) and the
-repulsion, and per-agent sums of the obstacle forces.  Every agent's result
+offsets and distances taken once, each get a current
+(``heuristics.batch_currents``, dispatching on each pair's heuristic) and a
+repulsive push, and one per-agent sum of both; an agent's ``k_cf`` and
+``k_r`` zero the terms it does not use.  Every agent's result
 is bitwise the one it would get alone: the kernel keeps each rounding step
 of the per-agent computation (see ``cfplan.vec3``).
 
@@ -168,8 +170,6 @@ class Committee:
     k_cf: np.ndarray  # (A, 1)
     k_manip: np.ndarray  # (A, 1)
     reach: np.ndarray  # (A, 1) r_d, or -inf when no obstacle force is on
-    circling: np.ndarray  # (A,) k_cf != 0
-    repelling: np.ndarray  # (A,) k_r != 0
     k_r: np.ndarray  # (A,)
     inv_r_d: float  # 1 / max(r_d, RHO_MIN)
 
@@ -180,7 +180,7 @@ class Committee:
         g = split_params(p, cfg.n_agents)
         r_d = detection_radius(p)
         ids = tuple(range(1, cfg.n_agents + 1))
-        circling, repelling = g["k_cf"] != 0.0, g["k_r"] != 0.0
+        on = (g["k_cf"] != 0.0) | (g["k_r"] != 0.0)
         return cls(
             ids=ids,
             kinds=tuple(agent_heuristic(i) for i in ids),
@@ -188,23 +188,10 @@ class Committee:
             k_v=g["k_v"][:, None],
             k_cf=g["k_cf"][:, None],
             k_manip=g["k_manip"][:, None],
-            reach=np.where(circling | repelling, r_d, -np.inf)[:, None],
-            circling=circling,
-            repelling=repelling,
+            reach=np.where(on, r_d, -np.inf)[:, None],
             k_r=g["k_r"],
             inv_r_d=1.0 / max(r_d, RHO_MIN),
         )
-
-    @cached_property
-    def pairs_circle(self) -> bool:
-        """Whether every agent that has obstacle pairs circles: k_cf != 0
-        wherever k_r != 0."""
-        return bool((self.circling | ~self.repelling).all())
-
-    @cached_property
-    def pairs_repel(self) -> bool:
-        """Whether every agent that has obstacle pairs repels."""
-        return bool((self.repelling | ~self.circling).all())
 
     def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
         """Each agent's own random stream, fresh from ``(master_seed, id)``;
@@ -229,16 +216,6 @@ def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
     return total, has
 
 
-def _subset(pairs, keep: np.ndarray, every: bool):
-    """The pairs, each array of ``pairs`` (flat index, agent, offset,
-    distance) indexed by pair, whose agent is flagged in ``keep``; all of
-    them when ``every`` says so."""
-    if every:
-        return pairs
-    sel = keep.take(pairs[1]).nonzero()[0]
-    return tuple(a.take(sel, axis=0) for a in pairs)
-
-
 def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pull):
     """Steering force on every agent of the committee, (A, 3).
 
@@ -253,30 +230,20 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pul
     n_agents, n = surf.shape
     idx = (surf <= com.reach).ravel().nonzero()[0]
     if idx.size:
-        pairs = (idx, idx // n, offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx))
-        ci, ca, c_off, c_dist = _subset(pairs, com.circling, com.pairs_circle)
-        ri, ra, r_off, r_dist = _subset(pairs, com.repelling, com.pairs_repel)
-        if ci.size:
-            currents = batch_currents(
-                com.kinds, ca, x, v, c_off, c_dist, goal,
-                None if nn is None else nn.take(ci % n, axis=0), rngs,
-            )
-        if ri.size:
-            rho = np.maximum(surf.take(ri), RHO_MIN)
-            d = np.maximum(r_dist, 1e-12)
-            mag = com.k_r.take(ra) * (1.0 / rho - com.inv_r_d) / rho**2
-            push = (r_off / d[:, None]) * mag[:, None]
-        if com.pairs_circle and com.pairs_repel:
-            # one sum over [current | push] columns; each column adds alone
-            sums, has = _agent_sums(n_agents, ca, np.concatenate((currents, push), axis=1))
-            f = np.where(has, f + _circling(v, sums[:, :3], com) + sums[:, 3:], f)
-        else:
-            if ci.size:
-                sums, has = _agent_sums(n_agents, ca, currents)
-                f = np.where(has, f + _circling(v, sums, com), f)
-            if ri.size:
-                sums, has = _agent_sums(n_agents, ra, push)
-                f = np.where(has, f + sums, f)
+        # every pair gets a current and a push; k_cf and k_r zero the terms
+        # of agents that do not circle or repel
+        agent = idx // n
+        off, d = offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx)
+        currents = batch_currents(
+            com.kinds, agent, x, v, off, d, goal,
+            None if nn is None else nn.take(idx % n, axis=0), rngs,
+        )
+        rho = np.maximum(surf.take(idx), RHO_MIN)
+        mag = com.k_r.take(agent) * (1.0 / rho - com.inv_r_d) / rho**2
+        push = (off / np.maximum(d, 1e-12)[:, None]) * mag[:, None]
+        # one sum over [current | push] columns; each column adds alone
+        sums, has = _agent_sums(n_agents, agent, np.concatenate((currents, push), axis=1))
+        f = np.where(has, f + _circling(v, sums[:, :3], com) + sums[:, 3:], f)
     if manip_pull is not None:
         f = f + com.k_manip * manip_pull
     return f
@@ -347,13 +314,13 @@ def plan_step(
     weights: AgentCostWeights,
 ) -> tuple[int, Trajectory, np.ndarray]:
     """Roll out every agent from the shared state (x, v), each (3,), score
-    all rollouts with one ``agent_costs`` call and return the cheapest (ties
-    go to the lowest id): its id, its rollout and the rollout's per-sample
-    velocities."""
+    all rollouts with one ``agent_costs`` call on their own clearances and
+    return the cheapest (ties go to the lowest id): its id, its rollout and
+    the rollout's per-sample velocities."""
     n = len(com.ids)
     xs, vs = np.repeat(x[None], n, axis=0), np.repeat(v[None], n, axis=0)
     pos, clr, vel = rollout(com, xs, vs, scene, cfg)
-    best = int(np.argmin(agent_costs(pos, scene, weights)))
+    best = int(np.argmin(agent_costs(pos, clr, scene, weights)))
     times = np.arange(pos.shape[1]) * cfg.dt
     return com.ids[best], Trajectory(times, pos[best], clr[best]), vel[best]
 

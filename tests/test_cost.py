@@ -328,7 +328,8 @@ class TestAgentCosts:
         step = 0.4 if which == "outside" else 0.01  # "outside" leaves the workspace
         pos = rollout_stack(seed, scene.start, 7, samples, step)
         w = AgentCostWeights(*np.random.default_rng(seed).uniform(0.1, 5.0, 4))
-        got = cost.agent_costs(pos, scene, w)
+        clr = surface_clearances(pos, scene.centers, scene.radii).reshape(pos.shape[:2])
+        got = cost.agent_costs(pos, clr, scene, w)
         assert got.shape == (7,)
         for k in range(7):
             want = one_rollout_cost(pos[k], scene, w)
@@ -340,4 +341,13 @@ class TestAgentCosts:
     @pytest.mark.parametrize("shape", [(7, 0, 3), (7, 3), (2, 5, 2)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="positions must have shape"):
-            cost.agent_costs(np.zeros(shape), obstruction_scene(), AgentCostWeights())
+            cost.agent_costs(
+                np.zeros(shape), np.zeros(shape[:2]), obstruction_scene(), AgentCostWeights()
+            )
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 4), (6, 5), (7, 5, 1)])
+    def test_rejects_clearances_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="clearances must have shape"):
+            cost.agent_costs(
+                np.zeros((7, 5, 3)), np.zeros(shape), obstruction_scene(), AgentCostWeights()
+            )

@@ -406,6 +406,23 @@ class TestLabelSceneSet:
         assert [row["reason"] for row in summary["per_scene"]] == [None, None]
         assert len(load_dataset(out)) == 2
 
+    def test_second_run_replaces_the_file(self, tmp_path):
+        out = tmp_path / "set.jsonl"
+        for ids in ([3, 4], [5]):
+            label_scene_set(
+                [easy_scene() for _ in ids],
+                scene_ids=ids,
+                seeds=ids,
+                planner_cfg=CHEAP_CFG,
+                agent_weights=AGENT_W,
+                traj_weights=TRAJ_W,
+                out_path=out,
+                bounds=narrow_bounds(),
+                n_init=2,
+                n_iter=0,
+            )
+        assert [s.scene_id for s in load_dataset(out)] == [5]
+
     def test_colliding_scene_rejected_with_reason(self, tmp_path):
         out = tmp_path / "set.jsonl"
         summary = label_scene_set(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfplan import planner
-from cfplan.cost import AgentCostWeights, agent_cost
+from cfplan.cost import AgentCostWeights, agent_cost, agent_costs
 from cfplan.fields import AgentKinematics, steering_force
 from cfplan.heuristics import HeuristicKind, agent_heuristic, compute_current
 from cfplan.params import agent_gains, detection_radius
@@ -128,28 +128,6 @@ class TestCommittee:
         p[:] = 9.0
         assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
 
-    @pytest.mark.parametrize(
-        "k_cf, k_r, circle, repel",
-        [
-            (1.0, 1.0, True, True),
-            (0.0, 0.0, True, True),
-            ((0, 1, 1, 0, 1, 1, 1), 1.0, False, True),
-            (1.0, (0, 1, 1, 0, 1, 1, 1), True, False),
-            ((0, 1, 1, 0, 1, 1, 1), (0, 1, 1, 0, 1, 1, 1), True, True),
-            ((0, 1, 1, 0, 1, 1, 1), (1, 0, 1, 1, 1, 1, 1), False, False),
-        ],
-    )
-    def test_pair_flags(self, k_cf, k_r, circle, repel):
-        # whether every agent that can have pairs circles, and repels
-        p = make_params(k_p=1.0, r_d=0.3)
-        p[14:21], p[28:35] = k_cf, k_r
-        com = Committee.of(p, PlannerConfig())
-        assert (com.pairs_circle, com.pairs_repel) == (circle, repel)
-        assert (member(com, 0).pairs_circle, member(com, 0).pairs_repel) == (
-            bool(com.circling[0] or not com.repelling[0]),
-            bool(com.repelling[0] or not com.circling[0]),
-        )
-
     def test_random_streams_are_fresh_per_call(self):
         cfg = PlannerConfig(master_seed=3)
         com = Committee.of(make_params(), cfg)
@@ -240,14 +218,27 @@ class TestPlanStep:
         assert plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)[0] == 1
 
     def test_returns_argmin_agent(self):
-        scene = obstruction_scene()
-        cfg = PlannerConfig(horizon=10)
-        com = Committee.of(untuned_baseline(), cfg)
-        chosen, _, _ = plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)
-        costs = {
-            i: agent_cost(alone(com, k, scene, cfg), scene, WEIGHTS) for k, i in enumerate(com.ids)
-        }
-        assert costs[chosen] == min(costs.values())
+        # the rollouts' own clearances score each one bitwise as agent_cost,
+        # which scans the scene, scores it alone
+        desk = randomize_scene(default_desk_randomizer(), 0)
+        for scene, cfg in (
+            (obstruction_scene(), PlannerConfig(horizon=10)),
+            (desk, BENCH_CFG),
+            (desk, PlannerConfig()),
+        ):
+            com = Committee.of(untuned_baseline(), cfg)
+            chosen, _, _ = plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)
+            x, v = np.repeat(scene.start[None], cfg.n_agents, 0), np.zeros((cfg.n_agents, 3))
+            pos, clr, _ = rollout(com, x, v, scene, cfg)
+            scored = agent_costs(pos, clr, scene, WEIGHTS)
+            times = np.arange(pos.shape[1]) * cfg.dt
+            costs = {
+                i: agent_cost(Trajectory(times, pos[k], clr[k]), scene, WEIGHTS)
+                for k, i in enumerate(com.ids)
+            }
+            for k, i in enumerate(com.ids):
+                assert scored[k].tobytes() == np.float64(costs[i]).tobytes()
+            assert costs[chosen] == min(costs.values())
 
 
 def spread_states(n: int, around, seed: int, spread: float = 0.15):
@@ -328,25 +319,13 @@ class TestLockstep:
             assert np.array_equal(clr[k], solo.clearances)
 
     @pytest.mark.parametrize("gains", GAIN_PATTERNS)
-    def test_gain_patterns_equal_single_agent_rollouts(self, monkeypatch, gains):
-        # only circling agents reach the currents pass, and each agent's
-        # rollout is its A = 1 rollout byte for byte
+    def test_gain_patterns_equal_single_agent_rollouts(self, gains):
+        # each agent's rollout is its A = 1 rollout byte for byte
         scene = clutter_scene()
         cfg = PlannerConfig(horizon=15, master_seed=4, jacobian=JACOBIAN)
         com = Committee.of(GAIN_PATTERNS[gains], cfg)
-        passes = []
-        original = planner.batch_currents
-
-        def recording(kinds, agent, *args):
-            passes.append(agent)
-            return original(kinds, agent, *args)
-
-        monkeypatch.setattr(planner, "batch_currents", recording)
         x, v = spread_states(cfg.n_agents, scene.start, seed=2)
         pos, clr, vel = rollout(com, x, v, scene, cfg)
-        seen = np.unique(np.concatenate(passes)) if passes else np.zeros(0, dtype=int)
-        assert np.all(com.circling[seen])
-        assert len(passes) > 0 or not com.circling.any()
         for k in range(cfg.n_agents):
             solo = alone(com, k, scene, cfg, x, v)
             assert pos[k].tobytes() == solo.positions.tobytes()
