@@ -44,15 +44,18 @@ obstacle offset or defining cross product is degenerate, with and without
 nearest-neighbour centers; ``planner._forces`` for committees in which all,
 some or none of the agents circle or repel, on a one-sphere and a clustered
 scene, with agents outside every shell, inside a sphere and at a center; and
-``planner._euler_step`` on rows below, at and above the speed cap.  These six
-lines and the ``default/`` ones stay out of ``all`` so that ``all`` compares
-with checkouts that print none of them.
+``planner._euler_step`` on rows below, at and above the speed cap.  The
+``scene-io`` line hashes the ``save_scene`` text of the ``scenes`` line's
+desk scenes and the centers and radii that ``load_scene`` reads back from
+it.  These seven lines and the ``default/`` ones stay out of ``all`` so that
+``all`` compares with checkouts that print none of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -83,6 +86,7 @@ from cfplan import (
     tune_scene,
 )
 from cfplan import planner
+from cfplan.io import load_scene, save_scene
 from cfplan.heuristics import batch_currents
 from cfplan.vec3 import norms
 
@@ -178,6 +182,20 @@ def scenes_digest() -> str:
         scene = randomize_scene(desk, scene_id)
         for a in (scene.centers, scene.radii, scene.goal):
             h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def scene_io_digest() -> str:
+    desk = default_desk_randomizer()
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        for scene_id in (*range(40), *QUERY_SCENES):
+            save_scene(randomize_scene(desk, scene_id), path)
+            h.update(path.read_bytes())
+            back = load_scene(path)
+            for a in (back.centers, back.radii):
+                h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -375,6 +393,7 @@ def main() -> int:
     print(f"nn {nn_digest()}")
     print(f"subsample {subsample_digest()}")
     print(f"currents {currents_digest()}")
+    print(f"scene-io {scene_io_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 

@@ -53,7 +53,7 @@ def cmd_gen_scenes(args) -> int:
         path = out_dir / f"scene_{args.seed}_{i}.json"
         io.save_scene(scene, path)
         files.append(path.name)
-        _note(f"wrote {path} ({len(scene.obstacles)} spheres)")
+        _note(f"wrote {path} ({scene.radii.size} spheres)")
     print(json.dumps({"count": args.count, "seed": args.seed, "files": files}))
     return 0
 

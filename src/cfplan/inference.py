@@ -46,6 +46,27 @@ def featurize(cloud: PointCloud, workspace: WorkspaceBounds) -> SceneDescriptor:
     return SceneDescriptor(hist, centroid, extent)
 
 
+def descriptor_rows(clouds: list[np.ndarray], workspace: WorkspaceBounds) -> np.ndarray:
+    """``featurize(PointCloud(c), workspace).vector()`` of every (m, 3)
+    cloud ``c``, as rows of an (N, GRID**3 + 6) array, bitwise.  The clouds
+    of each size share one vectorised pass."""
+    out = np.zeros((len(clouds), GRID**3 + 6))
+    sizes = np.array([c.shape[0] for c in clouds], dtype=int)
+    for m in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == m)
+        pts = np.stack([clouds[i] for i in rows])  # (b, m, 3)
+        rel = (pts - workspace.min) / workspace.widths
+        cells = np.clip((rel * GRID).astype(int), 0, GRID - 1)
+        flat = (cells[..., 0] * GRID + cells[..., 1]) * GRID + cells[..., 2]
+        flat += GRID**3 * np.arange(rows.size)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=rows.size * GRID**3)
+        hist = counts.reshape(rows.size, GRID**3).astype(float) / m
+        out[rows] = np.concatenate(
+            [hist, pts.mean(axis=1), pts.max(axis=1) - pts.min(axis=1)], axis=1
+        )
+    return out
+
+
 def knn_predict(
     query: SceneDescriptor,
     dataset: list[LabeledSample],
@@ -64,9 +85,7 @@ def knn_predict(
     if k < 1:
         raise ValueError("k must be >= 1")
     qv = query.vector()
-    vectors = np.stack(
-        [featurize(PointCloud(s.points), workspace).vector() for s in dataset]
-    )
+    vectors = descriptor_rows([PointCloud(s.points).points for s in dataset], workspace)
     dists = np.linalg.norm(vectors - qv, axis=1)
     exact = np.flatnonzero(dists == 0.0)
     if exact.size:

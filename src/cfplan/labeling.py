@@ -54,7 +54,7 @@ def scene_surface_cloud(
     row, gives each sphere the directions of one draw per sphere in order.
     """
     check_n_points(n_points)
-    if not scene.obstacles:
+    if scene.radii.size == 0:
         return PointCloud(np.zeros((0, 3)))
     rng = np.random.default_rng(seed)
     areas = 4.0 * np.pi * scene.radii**2

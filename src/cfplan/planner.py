@@ -33,9 +33,10 @@ kept for the rest of the call.  Lists keep their ascending scene order, so
 pairs, sums and random draws follow the same order as a pass over the whole
 scene, and results are bitwise the same.
 
-Random-heuristic agents reseed their generator from
-``(master_seed, agent_id)`` on every rollout, so a rollout is a pure function
-of its inputs and two rollouts from the same state are bitwise identical.
+Random-heuristic agents restart their stream of ``(master_seed, agent_id)``
+on every rollout (``Committee.rngs`` restores each generator's saved
+starting state), so a rollout is a pure function of its inputs and two
+rollouts from the same state are bitwise identical.
 
 The kernel matches the scalar force/heuristic functions
 (``fields.steering_force``, ``heuristics.compute_current``) to
@@ -193,16 +194,34 @@ class Committee:
             inv_r_d=1.0 / max(r_d, RHO_MIN),
         )
 
+    @cached_property
+    def _streams(self) -> dict[int, tuple[list, list]]:
+        """Per master seed: each agent's generator or None, and each
+        generator with its starting state."""
+        return {}
+
     def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
-        """Each agent's own random stream, fresh from ``(master_seed, id)``;
-        None for deterministic heuristics."""
+        """Each agent's own random stream, at the start of the stream of
+        ``(master_seed, id)``; None for deterministic heuristics.
+
+        The committee seeds each generator once per master seed and keeps
+        its starting state; every call restores that state into the same
+        generators, which costs a tenth of seeding new ones.  A call's
+        streams therefore last until the next call."""
         seed = cfg.master_seed & _SEED_MASK
-        return [
-            np.random.default_rng(np.random.SeedSequence([seed, i]))
-            if kind is HeuristicKind.RANDOM
-            else None
-            for i, kind in zip(self.ids, self.kinds)
-        ]
+        if seed not in self._streams:
+            gens = [
+                np.random.default_rng(np.random.SeedSequence([seed, i]))
+                if kind is HeuristicKind.RANDOM
+                else None
+                for i, kind in zip(self.ids, self.kinds)
+            ]
+            saved = [(g, g.bit_generator.state) for g in gens if g is not None]
+            self._streams[seed] = gens, saved
+        gens, saved = self._streams[seed]
+        for g, state in saved:
+            g.bit_generator.state = state
+        return list(gens)
 
 
 def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):

@@ -32,10 +32,10 @@ def _panel(scene: Scene, traj: Trajectory, ax: int, ay: int, lx: str, ly: str, x
         f'<text x="{x0 + 4:.1f}" y="{_PAD - 8:.1f}" font-size="13" '
         f'font-family="sans-serif" fill="#333">{lx}-{ly}</text>',
     ]
-    for o in scene.obstacles:
+    for center, radius in zip(scene.centers, scene.radii):
         parts.append(
-            f'<circle cx="{sx(o.center[ax]):.2f}" cy="{sy(o.center[ay]):.2f}" '
-            f'r="{o.radius * scale:.2f}" fill="#d9534f" fill-opacity="0.25" '
+            f'<circle cx="{sx(center[ax]):.2f}" cy="{sy(center[ay]):.2f}" '
+            f'r="{radius * scale:.2f}" fill="#d9534f" fill-opacity="0.25" '
             f'stroke="#d9534f" stroke-width="0.5"/>'
         )
     pts = " ".join(

@@ -188,35 +188,71 @@ class DepthImage:
         return self.depths.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Scene:
-    """Spherical obstacles, start, goal and workspace box.
+    """Spherical obstacles as arrays, start, goal and workspace box.
 
-    The obstacle arrays and the k-d tree the planner and the costs use are
-    computed on first use and kept with the instance (read-only, since every
-    caller shares them).
+    ``centers`` (n, 3) and ``radii`` (n,) are the scene's own float arrays,
+    read-only since every caller shares them, and checked in bulk: every
+    center finite, every radius positive and finite.  Build a scene from
+    arrays with ``Scene.from_arrays``; ``Scene(obstacles, start, goal,
+    workspace)`` takes ``SphereObstacle`` objects, converts them once and
+    keeps only the arrays.  ``obstacles`` builds the objects anew on every
+    access.  The k-d tree and the other derived arrays are computed on first
+    use and kept with the instance.  Scenes compare by identity.
     """
 
-    obstacles: tuple[SphereObstacle, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     start: Vec3
     goal: Vec3
     workspace: WorkspaceBounds
 
-    def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(self, "start", as_vec3(self.start))
-        object.__setattr__(self, "goal", as_vec3(self.goal))
+    def __init__(self, obstacles, start, goal, workspace: WorkspaceBounds):
+        obstacles = tuple(obstacles)
+        self._set(
+            np.array([o.center for o in obstacles], dtype=float).reshape(-1, 3),
+            np.array([o.radius for o in obstacles], dtype=float),
+            start,
+            goal,
+            workspace,
+        )
 
-    @cached_property
-    def centers(self) -> np.ndarray:
-        """Obstacle centers, (n, 3)."""
-        centers = np.array([o.center for o in self.obstacles], dtype=float)
-        return _read_only(centers.reshape(-1, 3))
+    @classmethod
+    def from_arrays(cls, centers, radii, start, goal, workspace: WorkspaceBounds) -> Scene:
+        """A scene of the spheres ``centers[i]``, ``radii[i]``; the arrays
+        are copied."""
+        scene = object.__new__(cls)
+        scene._set(centers, radii, start, goal, workspace)
+        return scene
 
-    @cached_property
-    def radii(self) -> np.ndarray:
-        """Obstacle radii, (n,)."""
-        return _read_only(np.array([o.radius for o in self.obstacles], dtype=float))
+    def _set(self, centers, radii, start, goal, workspace) -> None:
+        centers = np.array(centers, dtype=float)
+        radii = np.array(radii, dtype=float)
+        if radii.ndim != 1 or centers.shape != (radii.shape[0], 3):
+            raise ValueError(
+                f"centers must be (n, 3) and radii (n,), got {centers.shape} and {radii.shape}"
+            )
+        bad = ~(np.isfinite(centers).all(axis=1) & (radii > 0.0) & (radii < math.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"obstacle {i} needs a finite center and a positive finite radius, "
+                f"got {centers[i].tolist()} and {float(radii[i])!r}"
+            )
+        for name, value in (
+            ("centers", _read_only(centers)),
+            ("radii", _read_only(radii)),
+            ("start", as_vec3(start)),
+            ("goal", as_vec3(goal)),
+            ("workspace", workspace),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def obstacles(self) -> tuple[SphereObstacle, ...]:
+        """The obstacles as ``SphereObstacle`` objects, built on every access."""
+        return tuple(SphereObstacle(c, r) for c, r in zip(self.centers, self.radii.tolist()))
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -262,7 +298,9 @@ class Scene:
         whose surface comes within ``reach`` of such a point, and each one
         attaining such a point's minimum surface distance.
 
-        With ``x0 = rows[0]``, every such point lies within ``t = travel +
+        The ball is centred on ``x0``, the midpoint of the rows' bounding
+        box; the bound holds for any ``x0``, and this one keeps it small
+        for rows spread apart.  Every such point lies within ``t = travel +
         max |rows - x0|`` of ``x0``.  A surface within ``reach`` of it has
         its center within ``reach + r_max + t`` of ``x0``.  The obstacle
         whose center is nearest ``x0``, at ``d_nn``, has its surface within
@@ -279,7 +317,7 @@ class Scene:
         if n == 0:
             return np.empty(0, dtype=np.intp)
         rows = np.asarray(rows, dtype=float).reshape(-1, 3)
-        x0 = rows[0]
+        x0 = (rows.min(axis=0) + rows.max(axis=0)) / 2.0
         mid, c, r_min, r_max = self._extent
         if 2.0 * travel + (r_max - r_min) >= 2.0 * c or (
             reach + r_max + travel >= math.dist(x0, mid) + c
@@ -331,8 +369,9 @@ def obstruction_scene(radius: float = 0.15) -> Scene:
     steered plan reaches the goal with positive clearance."""
     start = np.array([-0.4, 0.0, 0.5])
     goal = np.array([0.4, 0.0, 0.5])
-    return Scene(
-        obstacles=[SphereObstacle(center=(start + goal) / 2.0, radius=radius)],
+    return Scene.from_arrays(
+        ((start + goal) / 2.0)[None],
+        [radius],
         start=start,
         goal=goal,
         workspace=WorkspaceBounds((-1.2, -1.2, -0.2), (1.2, 1.2, 1.2)),
@@ -692,13 +731,10 @@ def randomize_scene(cfg: SceneRandomizerConfig, seed: int) -> Scene:
     shapes = (*cfg.fixed_shapes, *floating)
     cells = [_lattice_cells(s, r) for s in shapes if not _collapses(s, r)]
     cells = np.concatenate([np.empty((0, 3), dtype=np.int64), *cells])
-    lattice = _cells_to_spheres(np.unique(cells, axis=0), r)
-    collapsed = [SphereObstacle(s.center, r) for s in shapes if _collapses(s, r)]
-    scene = Scene(
-        obstacles=tuple(lattice + collapsed),
-        start=cfg.start,
-        goal=goal,
-        workspace=cfg.workspace,
+    collapsed = [s.center for s in shapes if _collapses(s, r)]
+    centers = np.concatenate(
+        [_cell_centers(np.unique(cells, axis=0), voxel_edge(r)), np.reshape(collapsed, (-1, 3))]
     )
+    scene = Scene.from_arrays(centers, np.full(centers.shape[0], r), cfg.start, goal, cfg.workspace)
     validate_scene(scene)
     return scene

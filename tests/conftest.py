@@ -78,10 +78,9 @@ def brute_agent_cost(traj, scene, w) -> float:
     for a, b in zip(pos[:-1], pos[1:]):
         total += w.path_length * math.dist(a, b)
     total += w.goal_distance * math.dist(pos[-1], scene.goal)
-    if scene.obstacles and pos.shape[0] >= 2:
-        d_min = min(
-            math.dist(x, o.center) - o.radius for x in pos[1:] for o in scene.obstacles
-        )
+    obstacles = scene.obstacles
+    if obstacles and pos.shape[0] >= 2:
+        d_min = min(math.dist(x, o.center) - o.radius for x in pos[1:] for o in obstacles)
         total += w.obstacle / max(d_min, D_CLAMP)
     for x in pos[1:]:
         for k in range(3):
@@ -96,10 +95,10 @@ def brute_trajectory_cost(traj, scene, w) -> float:
     total = w.goal_deviation * math.dist(pos[-1], scene.goal)
     for a, b in zip(pos[:-1], pos[1:]):
         total += w.path_length * math.dist(a, b)
-    if scene.obstacles and steps >= 1:
+    obstacles = scene.obstacles
+    if obstacles and steps >= 1:
         inv = [
-            1.0
-            / max(min(math.dist(x, o.center) - o.radius for o in scene.obstacles), D_CLAMP)
+            1.0 / max(min(math.dist(x, o.center) - o.radius for o in obstacles), D_CLAMP)
             for x in pos[1:]
         ]
         total += w.clearance * sum(inv) / steps

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from cfplan.inference import (
     GRID,
     EmptyDatasetError,
     SceneDescriptor,
+    descriptor_rows,
     featurize,
     knn_predict,
 )
-from cfplan.labeling import LabeledSample
-from cfplan.scene import PointCloud, WorkspaceBounds
+from cfplan import inference
+from cfplan.labeling import LabeledSample, load_dataset
+from cfplan.scene import PointCloud, WorkspaceBounds, default_desk_randomizer
+
+DESK_DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 
 WS = WorkspaceBounds(min=(0, 0, 0), max=(80, 80, 80))
 
@@ -73,6 +79,40 @@ class TestFeaturize:
         pts = np.array([[1.0, 0.0, 5.0], [4.0, 2.0, 5.0]])
         d = featurize(PointCloud(pts), WS)
         assert np.array_equal(d.extent, [3.0, 2.0, 0.0])
+
+
+class TestDescriptorRows:
+    def test_stored_desk_clouds_match_featurize_bitwise(self):
+        ws = default_desk_randomizer().workspace
+        clouds = [s.points for s in load_dataset(DESK_DATASET)]
+        want = np.stack([featurize(PointCloud(c), ws).vector() for c in clouds])
+        assert descriptor_rows(clouds, ws).tobytes() == want.tobytes()
+
+    def test_mixed_sizes_match_featurize_bitwise(self):
+        # empty clouds, single points, clouds of one size apart and points
+        # outside the box, in no particular order
+        rng = np.random.default_rng(4)
+        clouds = [rng.uniform(-20.0, 100.0, (m, 3)) for m in (7, 0, 1, 300, 7, 0, 2, 300, 7)]
+        want = np.stack([featurize(PointCloud(c), WS).vector() for c in clouds])
+        assert descriptor_rows(clouds, WS).tobytes() == want.tobytes()
+        assert descriptor_rows([], WS).shape == (0, GRID**3 + 6)
+
+    def test_knn_predict_featurizes_no_stored_sample(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = [sample_of(rng.uniform(0, 80, (30, 3)), rng.uniform(0, 200, 36)) for _ in range(6)]
+        q = featurize(PointCloud(rng.uniform(0, 80, (30, 3))), WS)
+        want = knn_predict(q, data, WS, k=3)
+        vectors = np.stack([featurize(PointCloud(s.points), WS).vector() for s in data])
+        d = np.linalg.norm(vectors - q.vector(), axis=1)
+        order = np.argsort(d, kind="stable")[:3]
+        w = 1.0 / (d[order] + 1e-9)
+        assert want.tobytes() == ((w / w.sum()) @ np.stack([data[i].p_star for i in order])).tobytes()
+
+        def refuse(*args):
+            raise AssertionError("featurize called")
+
+        monkeypatch.setattr(inference, "featurize", refuse)
+        assert knn_predict(q, data, WS, k=3).tobytes() == want.tobytes()
 
 
 class TestKnnPredict:

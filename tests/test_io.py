@@ -24,7 +24,15 @@ from cfplan.io import (
     scene_to_dict,
 )
 from cfplan.planner import Trajectory
-from cfplan.scene import DepthImage, PointCloud, Scene, SphereObstacle, WorkspaceBounds
+from cfplan.scene import (
+    DepthImage,
+    PointCloud,
+    Scene,
+    SphereObstacle,
+    WorkspaceBounds,
+    default_desk_randomizer,
+    randomize_scene,
+)
 
 
 def demo_scene() -> Scene:
@@ -88,6 +96,64 @@ class TestSceneJson:
             d[field] = value
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {where} must hold only numbers")):
+            load_scene(path)
+
+
+class TestSceneArraysJson:
+    @pytest.mark.parametrize("seed", [0, 2, 3173392])
+    def test_desk_text_and_arrays_round_trip_exactly(self, tmp_path, seed):
+        scene = randomize_scene(default_desk_randomizer(), seed)
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        text = path.read_text(encoding="utf-8")
+        # the text of a writer that goes one obstacle object at a time
+        by_objects = dict(
+            scene_to_dict(scene),
+            obstacles=[{"center": o.center.tolist(), "radius": o.radius} for o in scene.obstacles],
+        )
+        assert text == json.dumps(by_objects, indent=2) + "\n"
+        back = load_scene(path)
+        for a, b in ((back.centers, scene.centers), (back.radii, scene.radii)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        save_scene(back, path)
+        assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize(
+        "obstacle",
+        [
+            {"center": [0.1, 0.2, 0.3], "radius": 0.05, "id": 7},  # an extra number
+            {"center": [[0.1, 0.2, 0.3]], "radius": 0.05},  # a nested center
+            {"center": [1, 1, 1], "radius": 1},  # integers
+        ],
+    )
+    def test_other_obstacle_forms_still_load(self, obstacle):
+        d = scene_to_dict(demo_scene())
+        d["obstacles"][0] = obstacle
+        scene = scene_from_dict(d)
+        want = np.asarray(obstacle["center"], dtype=float).reshape(3)
+        assert np.array_equal(scene.centers[0], want)
+        assert scene.radii.tolist() == [float(obstacle["radius"]), 0.08]
+
+    @pytest.mark.parametrize(
+        "obstacle, match",
+        [
+            ({"center": [0.1, float("nan"), 0.3], "radius": 0.05}, "non-finite 3-vector"),
+            ({"center": [0.1, 0.2, 0.3], "radius": 0.0}, "radius must be positive and finite"),
+            ({"center": [0.1, 0.2, 0.3], "radius": float("inf")}, "radius must be positive"),
+            ({"center": [0.1, 0.2], "radius": 0.05}, "reshape"),
+            ({"center": [0.1, 0.2, 0.3]}, "malformed scene record"),
+            ({"centre": [0.1, 0.2, 0.3], "radius": 0.05}, "malformed scene record"),
+            ([0.1, 0.2, 0.3, 0.05], "malformed scene record"),
+            ({"center": [0.1, 0.2, 0.3], "radius": [0.05]}, "malformed scene record"),
+            ({"center": [0.1, 0.2, 0.3], "radius": 0.05, "id": "cup"}, "obstacles must hold only numbers"),
+        ],
+    )
+    def test_rejects_bad_obstacles_as_one_at_a_time(self, tmp_path, obstacle, match):
+        d = scene_to_dict(demo_scene())
+        d["obstacles"][1] = obstacle
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=match):
             load_scene(path)
 
 

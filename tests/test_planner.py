@@ -129,13 +129,29 @@ class TestCommittee:
         assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
 
     def test_random_streams_are_fresh_per_call(self):
-        cfg = PlannerConfig(master_seed=3)
-        com = Committee.of(make_params(), cfg)
-        first, second = com.rngs(cfg), com.rngs(cfg)
-        assert [r is None for r in first] == [k is not HeuristicKind.RANDOM for k in com.kinds]
-        for a, b in zip(first, second):
-            if a is not None:
-                assert a is not b and a.random() == b.random()
+        # every call restarts each stream: whatever the last call's streams
+        # drew, and whichever seed came between, the draws are bitwise those
+        # of a generator seeded anew from (master_seed, id)
+        for master_seed in (3, -1):
+            cfg = PlannerConfig(master_seed=master_seed)
+            com = Committee.of(make_params(), cfg)
+            first = com.rngs(cfg)
+            kinds = [k is not HeuristicKind.RANDOM for k in com.kinds]
+            assert [r is None for r in first] == kinds
+            for r in first:
+                if r is not None:
+                    r.standard_normal(1000)
+            other = dataclasses.replace(cfg, master_seed=7)
+            for r in com.rngs(other):
+                if r is not None:
+                    r.random(10)
+            seed = master_seed & ((1 << 63) - 1)
+            for i, r in zip(com.ids, com.rngs(cfg)):
+                if r is not None:
+                    fresh = np.random.default_rng(np.random.SeedSequence([seed, i]))
+                    assert r.random(50).tobytes() == fresh.random(50).tobytes()
+                    want = fresh.standard_normal((9, 3)).tobytes()
+                    assert r.standard_normal((9, 3)).tobytes() == want
 
 
 class TestRollout:
@@ -191,6 +207,23 @@ class TestRollout:
         alone(com, 6, scene, cfg)  # interleaved other agent
         b = alone(com, 5, scene, cfg)
         assert np.array_equal(a.positions, b.positions)
+
+    def test_rollouts_from_one_state_are_bitwise_equal(self):
+        # one committee's random agents restart their streams on every
+        # rollout, so a rollout repeats that of a committee built anew
+        scene = clutter_scene()
+        cfg = PlannerConfig(horizon=25, master_seed=4)
+        com = Committee.of(LOCKSTEP_P, cfg)
+        x, v = spread_states(cfg.n_agents, scene.start, seed=2)
+        first = rollout(com, x, v, scene, cfg)
+        rollout(com, x + 0.01, -v, scene, cfg)  # draws the streams differently
+        again = rollout(com, x, v, scene, cfg)
+        anew = rollout(Committee.of(LOCKSTEP_P, cfg), x, v, scene, cfg)
+        for a, b, c in zip(first, again, anew):  # positions, clearances, velocities
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        other = dataclasses.replace(cfg, master_seed=5)
+        reseeded = rollout(Committee.of(LOCKSTEP_P, other), x, v, scene, other)
+        assert reseeded[0].tobytes() != first[0].tobytes()  # the streams steer
 
     def test_master_seed_changes_random_agent(self):
         scene = obstruction_scene()
@@ -400,6 +433,44 @@ def assert_forces_match_scalar_oracle(which: str, p: np.ndarray) -> None:
 
 def every_obstacle(scene, rows, travel, reach=-np.inf):
     return np.arange(scene.radii.shape[0])
+
+
+class TestSpreadAgentLists:
+    """``Scene.neighbour_list`` for agents spread around a point of a desk
+    scene, with the travel and reach of a rollout refresh."""
+
+    CASES = [((0.0, 0.0, 0.55), 0.2), ((0.0, 0.0, 0.55), 0.25), (None, 0.2), (None, 0.05)]
+
+    @pytest.mark.parametrize("around, spread", CASES)
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_lists_hold_the_brute_force_set(self, around, spread, seed):
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        x, _ = spread_states(7, scene.start if around is None else around, seed, spread)
+        travel, reach = 0.04, 0.3
+        listed = np.zeros(scene.radii.size, dtype=bool)
+        listed[scene.neighbour_list(x, travel, reach)] = True
+        # every sphere whose surface comes within reach of a point within
+        # travel of a row
+        gap = norms(x[:, None, :] - scene.centers)
+        assert listed[(np.maximum(gap - travel, 0.0) - scene.radii <= reach).any(axis=0)].all()
+        # every sphere nearest to such a point
+        rng = np.random.default_rng(seed)
+        step = rng.standard_normal((7, 40, 3))
+        step *= travel * rng.random((7, 40, 1)) / norms(step)[..., None]
+        points = np.concatenate([x, (x[:, None, :] + step).reshape(-1, 3)])
+        surf = norms(points[:, None, :] - scene.centers) - scene.radii
+        assert listed[(surf == surf.min(axis=1, keepdims=True)).any(axis=0)].all()
+
+    def test_spread_agents_list_fewer_spheres(self):
+        # a ball centred on the first row listed 2,448 and 1,953 of the 2,669
+        # spheres here; centred on the rows' bounding box it lists 1,672 and 605
+        scene = randomize_scene(default_desk_randomizer(), 0)
+        sizes = []
+        for around in ((0.0, 0.0, 0.55), scene.start):
+            x, _ = spread_states(7, around, seed=5, spread=0.2)
+            sizes.append(scene.neighbour_list(x, 0.04, 0.3).size)
+        assert scene.radii.size == 2669
+        assert sizes[0] < 1800 and sizes[1] < 700
 
 
 class TestRefreshedLists:

@@ -182,6 +182,59 @@ class TestSceneArrays:
         with pytest.raises(ValueError):
             centers[0, 0] = 1.0
 
+    def test_from_arrays_copies_and_matches_the_object_constructor(self):
+        desk = randomize_scene(default_desk_randomizer(), 0)
+        centers, radii = np.array(desk.centers), np.array(desk.radii)
+        scene = Scene.from_arrays(centers, radii, desk.start, desk.goal, desk.workspace)
+        centers[0] = 9.0  # the scene holds its own copy
+        by_objects = Scene(desk.obstacles, desk.start, desk.goal, desk.workspace)
+        for a in (scene, by_objects):
+            assert a.centers.tobytes() == desk.centers.tobytes()
+            assert a.radii.tobytes() == desk.radii.tobytes()
+            assert not a.centers.flags.writeable and not a.radii.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.centers = centers
+
+    def test_obstacles_are_built_on_access(self):
+        scene = spheres_scene([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)], [0.05, 0.08])
+        first, again = scene.obstacles, scene.obstacles
+        assert first[1] is not again[1] and "obstacles" not in vars(scene)
+        assert [o.center.tolist() for o in first] == scene.centers.tolist()
+        assert [o.radius for o in first] == [0.05, 0.08]
+        assert spheres_scene([], []).obstacles == ()
+
+    @pytest.mark.parametrize(
+        "centers, radii, match",
+        [
+            (np.zeros((2, 3)), np.full(3, 0.1), "must be"),
+            (np.zeros(3), np.full(1, 0.1), "must be"),
+            ([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], [0.1, 0.1], "obstacle 1"),
+            ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.1, 0.0], "obstacle 1"),
+            ([[0.0, 0.0, 0.0]], [np.inf], "obstacle 0"),
+            ([[0.0, 0.0, 0.0]], [-0.1], "obstacle 0"),
+        ],
+    )
+    def test_from_arrays_rejects_bad_spheres(self, centers, radii, match):
+        ws = WorkspaceBounds(min=(-1, -1, -1), max=(1, 1, 1))
+        with pytest.raises(ValueError, match=match):
+            Scene.from_arrays(centers, radii, (0.5, 0.5, 0.5), (-0.5, 0.5, 0.5), ws)
+
+    def test_desk_scenes_build_no_sphere_objects(self, monkeypatch, tmp_path):
+        from cfplan.io import load_scene, save_scene
+
+        def refuse(self):
+            raise AssertionError("a SphereObstacle was built")
+
+        monkeypatch.setattr(SphereObstacle, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            SphereObstacle((0.0, 0.0, 0.0), 0.1)
+        for seed in (0, 2):  # seed 2 draws a collapsed small sphere
+            scene = randomize_scene(default_desk_randomizer(), seed)
+            save_scene(scene, tmp_path / "scene.json")
+            back = load_scene(tmp_path / "scene.json")
+            again = Scene.from_arrays(back.centers, back.radii, back.start, back.goal, back.workspace)
+            assert again.centers.tobytes() == scene.centers.tobytes()
+
 
 @st.composite
 def neighbour_cases(draw):
@@ -649,7 +702,7 @@ class TestValidation:
             SphereObstacle(center=(0, 0, 0), radius=0.0)
 
     def test_obstacle_has_slots_and_stays_frozen(self):
-        # slots keep the thousands of obstacles of a desk scene small
+        # slots keep each obstacle object small
         obstacle = SphereObstacle(center=(0, 0, 0), radius=0.1)
         assert not hasattr(obstacle, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
