@@ -17,6 +17,7 @@ from .labeling import LabeledSample
 from .scene import PointCloud, WorkspaceBounds
 
 GRID = 8
+DESCRIPTOR_CHUNK = 32  # clouds per descriptor_rows pass: bounds its (clouds, m, 3) temporaries
 
 
 class EmptyDatasetError(ValueError):
@@ -34,36 +35,30 @@ class SceneDescriptor:
 
 
 def featurize(cloud: PointCloud, workspace: WorkspaceBounds) -> SceneDescriptor:
-    pts = cloud.points
-    if pts.shape[0] == 0:
-        return SceneDescriptor(np.zeros(GRID**3), np.zeros(3), np.zeros(3))
-    rel = (pts - workspace.min) / workspace.widths
-    cells = np.clip((rel * GRID).astype(int), 0, GRID - 1)
-    flat = (cells[:, 0] * GRID + cells[:, 1]) * GRID + cells[:, 2]
-    hist = np.bincount(flat, minlength=GRID**3).astype(float) / pts.shape[0]
-    centroid = pts.mean(axis=0)
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    return SceneDescriptor(hist, centroid, extent)
+    v = descriptor_rows([cloud.points], workspace)[0]
+    return SceneDescriptor(v[: GRID**3], v[GRID**3 : GRID**3 + 3], v[GRID**3 + 3 :])
 
 
 def descriptor_rows(clouds: list[np.ndarray], workspace: WorkspaceBounds) -> np.ndarray:
-    """``featurize(PointCloud(c), workspace).vector()`` of every (m, 3)
-    cloud ``c``, as rows of an (N, GRID**3 + 6) array, bitwise.  The clouds
-    of each size share one vectorised pass."""
+    """The descriptor vector of every (m, 3) cloud, as rows of an
+    (N, GRID**3 + 6) array; an empty cloud's row is zero.  Clouds of one
+    size share a vectorised pass, DESCRIPTOR_CHUNK clouds at a time."""
     out = np.zeros((len(clouds), GRID**3 + 6))
     sizes = np.array([c.shape[0] for c in clouds], dtype=int)
     for m in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == m)
-        pts = np.stack([clouds[i] for i in rows])  # (b, m, 3)
-        rel = (pts - workspace.min) / workspace.widths
-        cells = np.clip((rel * GRID).astype(int), 0, GRID - 1)
-        flat = (cells[..., 0] * GRID + cells[..., 1]) * GRID + cells[..., 2]
-        flat += GRID**3 * np.arange(rows.size)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=rows.size * GRID**3)
-        hist = counts.reshape(rows.size, GRID**3).astype(float) / m
-        out[rows] = np.concatenate(
-            [hist, pts.mean(axis=1), pts.max(axis=1) - pts.min(axis=1)], axis=1
-        )
+        same = np.flatnonzero(sizes == m)
+        for s in range(0, same.size, DESCRIPTOR_CHUNK):
+            rows = same[s : s + DESCRIPTOR_CHUNK]
+            pts = np.stack([clouds[i] for i in rows])  # (b, m, 3)
+            rel = (pts - workspace.min) / workspace.widths
+            cells = np.clip((rel * GRID).astype(int), 0, GRID - 1)
+            flat = (cells[..., 0] * GRID + cells[..., 1]) * GRID + cells[..., 2]
+            flat += GRID**3 * np.arange(rows.size)[:, None]
+            counts = np.bincount(flat.ravel(), minlength=rows.size * GRID**3)
+            hist = counts.reshape(rows.size, GRID**3).astype(float) / m
+            out[rows] = np.concatenate(
+                [hist, pts.mean(axis=1), pts.max(axis=1) - pts.min(axis=1)], axis=1
+            )
     return out
 
 

@@ -2,7 +2,7 @@
 
 - scene: JSON with obstacles (center/radius), start, goal, workspace box;
   written from and read into the scene's center and radius arrays, with no
-  per-sphere object on the way for obstacles in the written form
+  per-sphere object on the way
 - point cloud: CSV with an ``x,y,z`` header row
 - depth image: binary PGM (P5, maxval 65535) holding millimeters as
   little-endian 16-bit words, plus a JSON sidecar with intrinsics and the
@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import numbers
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .planner import Trajectory
-from .scene import DepthImage, PointCloud, Scene, SphereObstacle, WorkspaceBounds, validate_scene
+from .scene import DepthImage, PointCloud, Scene, WorkspaceBounds, validate_scene
 
 
 def check_json_numbers(name: str, value) -> None:
@@ -38,9 +37,15 @@ def check_json_numbers(name: str, value) -> None:
             items.extend(item.values())
         elif isinstance(item, list):
             types = set(map(type, item))
-            if types == {list}:  # rows, such as a point cloud's: check their entries at once
+            if types <= {int, float}:  # all plain numbers
+                continue
+            if types == {dict}:  # objects, such as obstacles: check their values at once
+                items.append(list(chain.from_iterable(map(dict.values, item))))
+            elif types == {list}:  # rows, such as a point cloud's: check their entries at once
                 items.append(list(chain.from_iterable(item)))
-            elif not types <= {int, float}:  # else all plain numbers
+            elif types <= {int, float, list}:  # numbers and rows: check the rows' entries at once
+                items.append(list(chain.from_iterable(x for x in item if type(x) is list)))
+            else:
                 items.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{name} must hold only numbers, got {item!r}")
@@ -69,51 +74,21 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _plain_obstacles(obstacles) -> tuple[np.ndarray, np.ndarray] | None:
-    """Centers (n, 3) and radii (n,) of an obstacle list in the form
-    ``scene_to_dict`` writes (objects of just a center of three numbers and
-    a radius), checked in one pass over the list: None for any other form,
-    or when a center is not finite or a radius not positive and finite."""
-    if type(obstacles) is not list or not (
-        set(map(type, obstacles)) <= {dict} and set(map(len, obstacles)) <= {2}
-    ):
-        return None
-    try:
-        centers = list(map(itemgetter("center"), obstacles))
-        radii = list(map(itemgetter("radius"), obstacles))
-    except KeyError:
-        return None
-    if not (set(map(type, centers)) <= {list} and set(map(len, centers)) <= {3}):
-        return None
-    flat = list(chain.from_iterable(centers))
-    if not set(map(type, flat)).union(map(type, radii)) <= {int, float}:
-        return None
-    try:
-        c = np.array(flat, dtype=float).reshape(-1, 3)
-        r = np.array(radii, dtype=float)
-    except OverflowError:  # an integer beyond float range
-        return None
-    if not (np.isfinite(c).all() and (r > 0.0).all() and (r < np.inf).all()):
-        return None
-    return c, r
-
-
 def scene_from_dict(data: dict) -> Scene:
-    """The scene of a ``scene_to_dict`` record.  Obstacles in that form are
-    checked and converted to arrays in one pass; any other form is checked
-    leaf by leaf and then obstacle by obstacle, which names the first fault."""
+    """The scene of a ``scene_to_dict`` record: every leaf checked to be a
+    number, then the obstacles converted to arrays in one pass."""
     try:
-        arrays = _plain_obstacles(data["obstacles"])
-        if arrays is None:
-            check_json_numbers("obstacles", data["obstacles"])
-        for key in ("start", "goal", "workspace"):
+        for key in ("obstacles", "start", "goal", "workspace"):
             check_json_numbers(key, data[key])
-        if arrays is None:
-            spheres = [SphereObstacle(o["center"], o["radius"]) for o in data["obstacles"]]
-            arrays = np.reshape([o.center for o in spheres], (-1, 3)), [o.radius for o in spheres]
-        workspace = WorkspaceBounds(data["workspace"]["min"], data["workspace"]["max"])
-        scene = Scene.from_arrays(*arrays, data["start"], data["goal"], workspace)
-    except (KeyError, TypeError) as exc:
+        obstacles = data["obstacles"]
+        scene = Scene.from_arrays(
+            np.array([o["center"] for o in obstacles], dtype=float).reshape(-1, 3),
+            np.array([o["radius"] for o in obstacles], dtype=float),
+            data["start"],
+            data["goal"],
+            WorkspaceBounds(data["workspace"]["min"], data["workspace"]["max"]),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed scene record: {exc}") from exc
     validate_scene(scene)
     return scene

@@ -173,6 +173,9 @@ class Committee:
     reach: np.ndarray  # (A, 1) r_d, or -inf when no obstacle force is on
     k_r: np.ndarray  # (A,)
     inv_r_d: float  # 1 / max(r_d, RHO_MIN)
+    seed: int  # master seed of the random streams, masked to 63 bits
+    streams: tuple[np.random.Generator | None, ...]  # per agent; None if deterministic
+    starts: tuple[dict | None, ...]  # each generator's starting state
 
     @classmethod
     def of(cls, p: np.ndarray, cfg: PlannerConfig) -> Committee:
@@ -182,9 +185,17 @@ class Committee:
         r_d = detection_radius(p)
         ids = tuple(range(1, cfg.n_agents + 1))
         on = (g["k_cf"] != 0.0) | (g["k_r"] != 0.0)
+        kinds = tuple(agent_heuristic(i) for i in ids)
+        seed = cfg.master_seed & _SEED_MASK
+        streams = tuple(
+            np.random.default_rng(np.random.SeedSequence([seed, i]))
+            if kind is HeuristicKind.RANDOM
+            else None
+            for i, kind in zip(ids, kinds)
+        )
         return cls(
             ids=ids,
-            kinds=tuple(agent_heuristic(i) for i in ids),
+            kinds=kinds,
             k_p=g["k_p"][:, None],
             k_v=g["k_v"][:, None],
             k_cf=g["k_cf"][:, None],
@@ -192,36 +203,27 @@ class Committee:
             reach=np.where(on, r_d, -np.inf)[:, None],
             k_r=g["k_r"],
             inv_r_d=1.0 / max(r_d, RHO_MIN),
+            seed=seed,
+            streams=streams,
+            starts=tuple(None if r is None else r.bit_generator.state for r in streams),
         )
 
-    @cached_property
-    def _streams(self) -> dict[int, tuple[list, list]]:
-        """Per master seed: each agent's generator or None, and each
-        generator with its starting state."""
-        return {}
-
     def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
-        """Each agent's own random stream, at the start of the stream of
-        ``(master_seed, id)``; None for deterministic heuristics.
+        """Each agent's own random stream, rewound to the start of the stream
+        of ``(master_seed, id)``; None for deterministic heuristics.
 
-        The committee seeds each generator once per master seed and keeps
-        its starting state; every call restores that state into the same
-        generators, which costs a tenth of seeding new ones.  A call's
-        streams therefore last until the next call."""
-        seed = cfg.master_seed & _SEED_MASK
-        if seed not in self._streams:
-            gens = [
-                np.random.default_rng(np.random.SeedSequence([seed, i]))
-                if kind is HeuristicKind.RANDOM
-                else None
-                for i, kind in zip(self.ids, self.kinds)
-            ]
-            saved = [(g, g.bit_generator.state) for g in gens if g is not None]
-            self._streams[seed] = gens, saved
-        gens, saved = self._streams[seed]
-        for g, state in saved:
-            g.bit_generator.state = state
-        return list(gens)
+        ``Committee.of`` seeds each generator once and keeps its starting
+        state; every call restores that state, which costs a tenth of
+        seeding new generators.  A call's streams therefore last until the
+        next call.  ``cfg`` must carry the committee's master seed."""
+        if cfg.master_seed & _SEED_MASK != self.seed:
+            raise ValueError(
+                f"committee streams are of master seed {self.seed}, not {cfg.master_seed}"
+            )
+        for r, state in zip(self.streams, self.starts):
+            if r is not None:
+                r.bit_generator.state = state
+        return list(self.streams)
 
 
 def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):

@@ -88,11 +88,15 @@ class TestDescriptorRows:
         want = np.stack([featurize(PointCloud(c), ws).vector() for c in clouds])
         assert descriptor_rows(clouds, ws).tobytes() == want.tobytes()
 
-    def test_mixed_sizes_match_featurize_bitwise(self):
+    @pytest.mark.parametrize("chunk", [1, 2, inference.DESCRIPTOR_CHUNK])
+    def test_mixed_sizes_match_featurize_bitwise(self, monkeypatch, chunk):
         # empty clouds, single points, clouds of one size apart and points
-        # outside the box, in no particular order
+        # outside the box, in no particular order; 70 clouds of 5 points
+        # span three passes of the default chunk
         rng = np.random.default_rng(4)
-        clouds = [rng.uniform(-20.0, 100.0, (m, 3)) for m in (7, 0, 1, 300, 7, 0, 2, 300, 7)]
+        sizes = (7, 0, 1, 300, 7, 0, 2, 300, 7) + (5,) * 70
+        clouds = [rng.uniform(-20.0, 100.0, (m, 3)) for m in sizes]
+        monkeypatch.setattr(inference, "DESCRIPTOR_CHUNK", chunk)
         want = np.stack([featurize(PointCloud(c), WS).vector() for c in clouds])
         assert descriptor_rows(clouds, WS).tobytes() == want.tobytes()
         assert descriptor_rows([], WS).shape == (0, GRID**3 + 6)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cfplan.io import (
+    check_json_numbers,
     load_cloud_csv,
     load_depth_image,
     load_params,
@@ -45,6 +46,42 @@ def demo_scene() -> Scene:
         goal=(0.4, 0.1, 0.5),
         workspace=WorkspaceBounds(min=(-1, -1, 0), max=(1, 1, 1)),
     )
+
+
+class TestCheckJsonNumbers:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1.5,
+            [],
+            [1, 2.5],
+            [[1, 2], [3.0]],
+            [{"c": [1, 2, 3], "r": 0.5}, {"c": [4, 5, 6], "r": 1}],
+            [1, [2, 3], [[4]]],
+            {"a": [{"b": [1.0, {"c": 2}]}], "d": 3},
+        ],
+    )
+    def test_accepts_numbers_at_any_depth(self, value):
+        check_json_numbers("v", value)
+
+    @pytest.mark.parametrize("bad", [True, None, "1", False])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda x: x,
+            lambda x: [1.0, x],
+            lambda x: [[1.0], [2.0, x]],
+            lambda x: [{"c": [1, 2, 3], "r": 0.5}, {"c": [4, 5, x], "r": 1}],
+            lambda x: [{"c": [1, 2, 3], "r": 0.5}, {"c": [4, 5, 6], "r": x}],
+            lambda x: [{"c": [1, 2, 3], "r": 0.5}, {"c": [4, 5, 6], "r": 1, "id": x}],
+            lambda x: [1, [2, 3], [[4, x]]],
+            lambda x: [1, [2, 3], {"a": x}],
+            lambda x: {"a": [{"b": [1.0, {"c": x}]}]},
+        ],
+    )
+    def test_names_a_non_number_at_any_depth(self, shape, bad):
+        with pytest.raises(ValueError, match=re.escape(f"v must hold only numbers, got {bad!r}")):
+            check_json_numbers("v", shape(bad))
 
 
 class TestSceneJson:
@@ -122,7 +159,6 @@ class TestSceneArraysJson:
         "obstacle",
         [
             {"center": [0.1, 0.2, 0.3], "radius": 0.05, "id": 7},  # an extra number
-            {"center": [[0.1, 0.2, 0.3]], "radius": 0.05},  # a nested center
             {"center": [1, 1, 1], "radius": 1},  # integers
         ],
     )
@@ -130,31 +166,44 @@ class TestSceneArraysJson:
         d = scene_to_dict(demo_scene())
         d["obstacles"][0] = obstacle
         scene = scene_from_dict(d)
-        want = np.asarray(obstacle["center"], dtype=float).reshape(3)
-        assert np.array_equal(scene.centers[0], want)
+        assert np.array_equal(scene.centers[0], np.asarray(obstacle["center"], dtype=float))
         assert scene.radii.tolist() == [float(obstacle["radius"]), 0.08]
 
     @pytest.mark.parametrize(
         "obstacle, match",
         [
-            ({"center": [0.1, float("nan"), 0.3], "radius": 0.05}, "non-finite 3-vector"),
-            ({"center": [0.1, 0.2, 0.3], "radius": 0.0}, "radius must be positive and finite"),
-            ({"center": [0.1, 0.2, 0.3], "radius": float("inf")}, "radius must be positive"),
-            ({"center": [0.1, 0.2], "radius": 0.05}, "reshape"),
+            ({"center": [0.1, float("nan"), 0.3], "radius": 0.05}, "obstacle 1 needs a finite center"),
+            ({"center": [0.1, 0.2, 0.3], "radius": 0.0}, "obstacle 1 needs .* positive finite radius"),
+            ({"center": [0.1, 0.2, 0.3], "radius": float("inf")}, "obstacle 1 needs"),
+            ({"center": [0.1, 0.2], "radius": 0.05}, "inhomogeneous"),
+            ({"center": [[0.1, 0.2, 0.3]], "radius": 0.05}, "inhomogeneous"),
             ({"center": [0.1, 0.2, 0.3]}, "malformed scene record"),
             ({"centre": [0.1, 0.2, 0.3], "radius": 0.05}, "malformed scene record"),
             ([0.1, 0.2, 0.3, 0.05], "malformed scene record"),
-            ({"center": [0.1, 0.2, 0.3], "radius": [0.05]}, "malformed scene record"),
+            ({"center": [0.1, 0.2, 0.3], "radius": [0.05]}, "inhomogeneous"),
+            ({"center": [0.1, 0.2, 0.3], "radius": {"r": 0.05}}, "malformed scene record"),
+            ({"center": [0.1, 0.2, 0.3], "radius": 10**400}, "malformed scene record"),
             ({"center": [0.1, 0.2, 0.3], "radius": 0.05, "id": "cup"}, "obstacles must hold only numbers"),
         ],
     )
-    def test_rejects_bad_obstacles_as_one_at_a_time(self, tmp_path, obstacle, match):
+    def test_rejects_bad_obstacles(self, tmp_path, obstacle, match):
         d = scene_to_dict(demo_scene())
         d["obstacles"][1] = obstacle
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=match):
             load_scene(path)
+
+    def test_all_obstacles_of_one_shape_are_checked_as_arrays(self):
+        # every center nested one level, or every center of two numbers
+        d = scene_to_dict(demo_scene())
+        for o in d["obstacles"]:
+            o["center"] = [o["center"]]
+        assert scene_from_dict(d).centers.tolist() == demo_scene().centers.tolist()
+        for o in d["obstacles"]:
+            o["center"] = o["center"][0][:2]
+        with pytest.raises(ValueError):
+            scene_from_dict(d)
 
 
 class TestCloudCsv:

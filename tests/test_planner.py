@@ -48,7 +48,7 @@ def member(com: Committee, k: int) -> Committee:
     return dataclasses.replace(
         com,
         **{f.name: getattr(com, f.name)[k : k + 1]
-           for f in dataclasses.fields(com) if f.name != "inv_r_d"},
+           for f in dataclasses.fields(com) if f.name not in ("inv_r_d", "seed")},
     )
 
 
@@ -130,8 +130,8 @@ class TestCommittee:
 
     def test_random_streams_are_fresh_per_call(self):
         # every call restarts each stream: whatever the last call's streams
-        # drew, and whichever seed came between, the draws are bitwise those
-        # of a generator seeded anew from (master_seed, id)
+        # drew, the draws are bitwise those of a generator seeded anew from
+        # (master_seed, id)
         for master_seed in (3, -1):
             cfg = PlannerConfig(master_seed=master_seed)
             com = Committee.of(make_params(), cfg)
@@ -141,10 +141,6 @@ class TestCommittee:
             for r in first:
                 if r is not None:
                     r.standard_normal(1000)
-            other = dataclasses.replace(cfg, master_seed=7)
-            for r in com.rngs(other):
-                if r is not None:
-                    r.random(10)
             seed = master_seed & ((1 << 63) - 1)
             for i, r in zip(com.ids, com.rngs(cfg)):
                 if r is not None:
@@ -152,6 +148,13 @@ class TestCommittee:
                     assert r.random(50).tobytes() == fresh.random(50).tobytes()
                     want = fresh.standard_normal((9, 3)).tobytes()
                     assert r.standard_normal((9, 3)).tobytes() == want
+
+    def test_streams_belong_to_one_master_seed(self):
+        cfg = PlannerConfig(master_seed=3)
+        com = Committee.of(make_params(), cfg)
+        with pytest.raises(ValueError, match="master seed 3"):
+            com.rngs(dataclasses.replace(cfg, master_seed=7))
+        com.rngs(dataclasses.replace(cfg, master_seed=3 + (1 << 63)))  # the same 63 bits
 
 
 class TestRollout:
