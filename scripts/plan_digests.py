@@ -47,8 +47,12 @@ scene, with agents outside every shell, inside a sphere and at a center; and
 ``planner._euler_step`` on rows below, at and above the speed cap.  The
 ``scene-io`` line hashes the ``save_scene`` text of the ``scenes`` line's
 desk scenes and the centers and radii that ``load_scene`` reads back from
-it.  These seven lines and the ``default/`` ones stay out of ``all`` so that
-``all`` compares with checkouts that print none of them.
+it.  The ``random-rows`` line hashes every rollout of the first two stored
+desk labels at ``PlannerConfig()`` with 20 steps and the detection radius at
+its upper bound, where each random agent reads tens of thousands of rows a
+rollout, far past the first block of its table.  These eight lines and the
+``default/`` ones stay out of ``all`` so that ``all`` compares with
+checkouts that print none of them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from cfplan import (
     Committee,
     HeuristicKind,
     PlannerConfig,
+    RandomRows,
     Scene,
     SphereObstacle,
     TrajectoryCostWeights,
@@ -163,6 +168,28 @@ def default_cases():
         scene = randomize_scene(desk, label["scene_id"])
         p = np.asarray(label["p_star"], dtype=float)
         yield f"default/{label['scene_id']}/nojac", scene, p, PlannerConfig()
+
+
+def random_rows_digest() -> str:
+    """Every rollout of the plans the module docstring's ``random-rows``
+    line describes, and each plan's digest."""
+    desk = default_desk_randomizer()
+    h = hashlib.sha256()
+    original = planner.rollout
+
+    def hashed(*args):
+        out = original(*args)
+        for a in out:
+            h.update(a.tobytes())
+        return out
+
+    with mock.patch.object(planner, "rollout", hashed):
+        for label in stored_labels()[:2]:
+            p = np.asarray(label["p_star"], dtype=float).copy()
+            p[-1] = default_bounds(7).high[-1]
+            scene = randomize_scene(desk, label["scene_id"])
+            h.update(digest(scene, p, PlannerConfig(max_steps=20))[1].encode())
+    return h.hexdigest()
 
 
 def clouds_digest() -> str:
@@ -309,8 +336,14 @@ def forces_cases():
 def currents_digest() -> str:
     h = hashlib.sha256()
     for kinds, agent, x, v, offsets, goal, nn in currents_cases():
-        rngs = [np.random.default_rng(i) if k is K.RANDOM else None for i, k in enumerate(kinds)]
-        rows = batch_currents(kinds, agent, x, v, offsets, norms(offsets), goal, nn, rngs)
+        normals = [np.zeros((0, 3))] + [
+            np.random.default_rng(a).standard_normal((np.count_nonzero(agent == a), 3))
+            for a, k in enumerate(kinds)
+            if k is K.RANDOM
+        ]
+        rows = batch_currents(
+            kinds, agent, x, v, offsets, norms(offsets), goal, nn, np.concatenate(normals)
+        )
         h.update(rows.tobytes())
     for x, v, scene, p, cfg in forces_cases():
         com = Committee.of(p, cfg)
@@ -319,7 +352,7 @@ def currents_digest() -> str:
         surf = dist - scene.radii
         force = planner._forces(
             x, v, offsets, dist, surf, scene.goal, scene.nn_centers, com,
-            com.rngs(cfg), cfg.manip_direction,
+            RandomRows(com).reader(), cfg.manip_direction,
         )
         h.update(force.tobytes())
     rng = np.random.default_rng(17)
@@ -394,6 +427,7 @@ def main() -> int:
     print(f"subsample {subsample_digest()}")
     print(f"currents {currents_digest()}")
     print(f"scene-io {scene_io_digest()}")
+    print(f"random-rows {random_rows_digest()}")
     print(f"all {total.hexdigest()}")
     return 0
 

@@ -36,6 +36,7 @@ from .planner import (
     Committee,
     PlanResult,
     PlannerConfig,
+    RandomRows,
     Trajectory,
     execute,
     plan_step,

@@ -83,14 +83,14 @@ _NEIGHBOUR_W, _FLIP, _COMBINED = range(3)
 def _committee_layout(kinds: tuple[HeuristicKind, ...]):
     """What ``batch_currents`` needs to know of a committee's heuristics: the
     (A, 1) masks of agents whose w is the goal offset without and with
-    nearest-neighbour centers, the (A, 3) switches, the random agents and
-    the edges a, a + 1 of each one's rows."""
+    nearest-neighbour centers, the (A, 3) switches and the (A,) mask of the
+    random agents, None when there are none."""
     K = HeuristicKind
 
     def agents(*on):
         return np.array([k in on for k in kinds], dtype=bool)[:, None]
 
-    random = tuple(a for a, k in enumerate(kinds) if k is K.RANDOM)
+    random = agents(K.RANDOM)[:, 0]
     return (
         (agents(K.GOAL_VECTOR, K.OBSTACLE_DISTANCE), agents(K.GOAL_VECTOR)),
         np.hstack((
@@ -98,8 +98,7 @@ def _committee_layout(kinds: tuple[HeuristicKind, ...]):
             agents(K.PATH_LENGTH, K.PATH_LENGTH_OBSTACLE_DISTANCE),
             agents(K.PATH_LENGTH_OBSTACLE_DISTANCE),
         )),
-        random,
-        np.array([(a, a + 1) for a in random], dtype=np.intp).ravel(),
+        random if random.any() else None,
     )
 
 
@@ -125,27 +124,28 @@ def batch_currents(
     distances: np.ndarray,
     goal: np.ndarray,
     nn_centers: np.ndarray | None,
-    rngs,
+    normals: np.ndarray,
 ) -> np.ndarray:
     """Unit current of every (agent, obstacle) pair of a committee.
 
-    Agent ``a`` has heuristic ``kinds[a]``, state ``positions[a]``,
-    ``velocities[a]`` and generator ``rngs[a]`` (read for random kinds only).
-    Pair ``k`` couples agent ``agent[k]`` (non-decreasing) with an obstacle
-    whose center lies at ``positions[agent[k]] - offsets[k]``, at distance
-    ``distances[k]`` (the norm of ``offsets[k]``); that obstacle's nearest
-    other obstacle is centered at ``nn_centers[k]`` (None when the scene has
-    fewer than two obstacles).
+    Agent ``a`` has heuristic ``kinds[a]`` and state ``positions[a]``,
+    ``velocities[a]``.  Pair ``k`` couples agent ``agent[k]``
+    (non-decreasing) with an obstacle whose center lies at
+    ``positions[agent[k]] - offsets[k]``, at distance ``distances[k]`` (the
+    norm of ``offsets[k]``); that obstacle's nearest other obstacle is
+    centered at ``nn_centers[k]`` (None when the scene has fewer than two
+    obstacles).
 
     Each pair dispatches on its agent's kind, and every row rounds exactly
-    as a call for that agent alone would.  A random agent draws its rows from
-    its own generator in one call, in row order, so they match repeated
-    single-obstacle calls on the same generator state.
+    as a call for that agent alone would.  The pairs of random agents take
+    their raw currents from ``normals``, one row per such pair in pair
+    order: standard normals, each agent's from its own stream in row order,
+    as one-obstacle calls would draw them one after another.
     """
     m = agent.shape[0]
     if m == 0:
         return np.zeros((0, 3))
-    goal_w, switches, random, random_edges = _layout(kinds)
+    goal_w, switches, random = _layout(kinds)
     switches = switches.take(agent, axis=0)
     # d = (center - x) / |center - x|, unscaled when the norm is tiny;
     # 0 - (x - center) rounds like center - x, signed zeros included
@@ -171,11 +171,8 @@ def batch_currents(
         d = np.concatenate((dhat, dhat.take(both, axis=0)))
         w = np.concatenate((w, second))
     raw = cross(d, w)
-    if random:
-        edges = agent.searchsorted(random_edges).tolist()
-        for a, s, e in zip(random, edges[::2], edges[1::2]):
-            if e > s:
-                raw[s:e] = rngs[a].standard_normal((e - s, 3))
+    if random is not None:
+        raw[:m][random.take(agent)] = normals
     unit = _with_fallback(raw, d)
 
     path = switches[:, _FLIP].nonzero()[0]
@@ -200,8 +197,11 @@ def _flip_toward_goal(c, v, gap, owner):
     # reproduces for all rows at once; an agent with several rows needs its
     # own matrix-vector product, which rounds differently.  Rows of one
     # owner are adjacent, as owners do not decrease.  Flips c in place.
-    cut = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-    several = [(s, e) for s, e in zip([0, *cut], [*cut, owner.shape[0]]) if e - s > 1]
+    several = ()
+    same = owner[1:] == owner[:-1]
+    if same.any():
+        cut = (np.flatnonzero(~same) + 1).tolist()
+        several = [(s, e) for s, e in zip([0, *cut], [*cut, owner.shape[0]]) if e - s > 1]
     cv = dots(c, v)
     for s, e in several:
         cv[s:e] = c[s:e] @ v[s]

@@ -94,8 +94,38 @@ def scene_from_dict(data: dict) -> Scene:
     return scene
 
 
+#: one obstacle of ``save_scene``'s text; ``%r`` formats a float as json does
+_OBSTACLE = (
+    '    {\n      "center": [\n        %r,\n        %r,\n        %r\n      ],'
+    '\n      "radius": %r\n    }'
+)
+
+
+def _json_vector(v: np.ndarray, pad: str) -> str:
+    """``v`` as an indented json array whose closing bracket sits at ``pad``."""
+    return "[\n" + ",\n".join(f"{pad}  {x!r}" for x in v.tolist()) + f"\n{pad}]"
+
+
 def save_scene(scene: Scene, path) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n", encoding="utf-8")
+    """Write ``scene_to_dict(scene)`` as ``json.dumps(..., indent=2)`` lays
+    it out, plus a newline, byte for byte.  The text is formatted directly:
+    ``indent`` makes ``json`` use its pure-Python encoder, which takes
+    nearly twice as long on a desk scene."""
+    obstacles = ",\n".join(
+        _OBSTACLE % (*c, r) for c, r in zip(scene.centers.tolist(), scene.radii.tolist())
+    )
+    obstacles = f"[\n{obstacles}\n  ]" if obstacles else "[]"
+    ws = scene.workspace
+    text = (
+        f'{{\n  "obstacles": {obstacles},\n'
+        f'  "start": {_json_vector(scene.start, "  ")},\n'
+        f'  "goal": {_json_vector(scene.goal, "  ")},\n'
+        f'  "workspace": {{\n'
+        f'    "min": {_json_vector(ws.min, "    ")},\n'
+        f'    "max": {_json_vector(ws.max, "    ")}\n'
+        "  }\n}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_scene(path) -> Scene:

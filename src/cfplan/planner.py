@@ -33,10 +33,12 @@ kept for the rest of the call.  Lists keep their ascending scene order, so
 pairs, sums and random draws follow the same order as a pass over the whole
 scene, and results are bitwise the same.
 
-Random-heuristic agents restart their stream of ``(master_seed, agent_id)``
-on every rollout (``Committee.rngs`` restores each generator's saved
-starting state), so a rollout is a pure function of its inputs and two
-rollouts from the same state are bitwise identical.
+Random-heuristic agents read their currents from a ``RandomRows`` table:
+the standard normals of the stream of ``(master_seed, agent_id)``, drawn once
+per ``execute`` and extended from the same generator when a rollout needs
+more rows.  Every rollout reads each table from its first row, so a rollout
+is a pure function of its inputs and two rollouts from the same state are
+bitwise identical.
 
 The kernel matches the scalar force/heuristic functions
 (``fields.steering_force``, ``heuristics.compute_current``) to
@@ -49,6 +51,7 @@ exception mid-rollout.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +71,13 @@ EMPTY_CLEARANCE = 1e9
 #: matched 5 at horizon 20 and beat it at horizon 50; 2, 4, 7 and 10 were slower
 REFRESH_STEPS = 3
 
+#: rows of standard normals each random agent's table starts with; a rollout
+#: that reads past the end at least doubles it.  Random agents read at most
+#: 20 rows per rollout in the benchmark's workloads
+ROW_BLOCK = 64
+
 _SEED_MASK = (1 << 63) - 1
+_NO_NORMALS = np.zeros((0, 3))
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,8 @@ def _euler_step(x, v, force, mass: float, dt: float, v_max: float):
 class Committee:
     """The planner's agents 1..A: their heuristics, and their gains as (A,)
     arrays, or (A, 1) columns where they scale (A, 3) rows.  The detection
-    radius is shared."""
+    radius is shared.  A committee holds no random state: ``RandomRows``
+    keeps its random agents' streams."""
 
     ids: tuple[int, ...]  # 1-based
     kinds: tuple[HeuristicKind, ...]
@@ -174,8 +184,6 @@ class Committee:
     k_r: np.ndarray  # (A,)
     inv_r_d: float  # 1 / max(r_d, RHO_MIN)
     seed: int  # master seed of the random streams, masked to 63 bits
-    streams: tuple[np.random.Generator | None, ...]  # per agent; None if deterministic
-    starts: tuple[dict | None, ...]  # each generator's starting state
 
     @classmethod
     def of(cls, p: np.ndarray, cfg: PlannerConfig) -> Committee:
@@ -185,17 +193,9 @@ class Committee:
         r_d = detection_radius(p)
         ids = tuple(range(1, cfg.n_agents + 1))
         on = (g["k_cf"] != 0.0) | (g["k_r"] != 0.0)
-        kinds = tuple(agent_heuristic(i) for i in ids)
-        seed = cfg.master_seed & _SEED_MASK
-        streams = tuple(
-            np.random.default_rng(np.random.SeedSequence([seed, i]))
-            if kind is HeuristicKind.RANDOM
-            else None
-            for i, kind in zip(ids, kinds)
-        )
         return cls(
             ids=ids,
-            kinds=kinds,
+            kinds=tuple(agent_heuristic(i) for i in ids),
             k_p=g["k_p"][:, None],
             k_v=g["k_v"][:, None],
             k_cf=g["k_cf"][:, None],
@@ -203,27 +203,59 @@ class Committee:
             reach=np.where(on, r_d, -np.inf)[:, None],
             k_r=g["k_r"],
             inv_r_d=1.0 / max(r_d, RHO_MIN),
-            seed=seed,
-            streams=streams,
-            starts=tuple(None if r is None else r.bit_generator.state for r in streams),
+            seed=cfg.master_seed & _SEED_MASK,
         )
 
-    def rngs(self, cfg: PlannerConfig) -> list[np.random.Generator | None]:
-        """Each agent's own random stream, rewound to the start of the stream
-        of ``(master_seed, id)``; None for deterministic heuristics.
 
-        ``Committee.of`` seeds each generator once and keeps its starting
-        state; every call restores that state, which costs a tenth of
-        seeding new generators.  A call's streams therefore last until the
-        next call.  ``cfg`` must carry the committee's master seed."""
-        if cfg.master_seed & _SEED_MASK != self.seed:
-            raise ValueError(
-                f"committee streams are of master seed {self.seed}, not {cfg.master_seed}"
+class RandomRows:
+    """The raw currents of a committee's random agents: the agent of id
+    ``i`` reads the standard normals of ``default_rng(SeedSequence([seed,
+    i]))``, three to a row, from its first row on every rollout.
+
+    Each agent's table is drawn once, ``ROW_BLOCK`` rows long, and extended
+    from the same generator when a rollout reads past its end; drawing in
+    pieces gives bitwise the values of one draw.  ``execute`` makes one per
+    plan and its rollouts share it."""
+
+    def __init__(self, com: Committee):
+        agents = [a for a, kind in enumerate(com.kinds) if kind is HeuristicKind.RANDOM]
+        self._edges = np.array([(a, a + 1) for a in agents], dtype=np.intp).ravel()
+        self._rngs = [
+            np.random.default_rng(np.random.SeedSequence([com.seed, com.ids[a]])) for a in agents
+        ]
+        self._tables = [r.standard_normal((ROW_BLOCK, 3)) for r in self._rngs]
+
+    def rows(self, k: int, stop: int) -> np.ndarray:
+        """The first ``stop`` rows of the table of the k-th random agent."""
+        table = self._tables[k]
+        if stop > table.shape[0]:
+            more = max(stop, 2 * table.shape[0]) - table.shape[0]
+            table = self._tables[k] = np.concatenate(
+                (table, self._rngs[k].standard_normal((more, 3)))
             )
-        for r, state in zip(self.streams, self.starts):
-            if r is not None:
-                r.bit_generator.state = state
-        return list(self.streams)
+        return table[:stop]
+
+    def reader(self) -> Callable[[np.ndarray], np.ndarray]:
+        """A reader for one rollout.  Given the agent index of each pair,
+        non-decreasing, it returns one row per pair of a random agent, in
+        pair order: each agent's next rows, from its first row on."""
+        used = [0] * len(self._tables)
+
+        def read(agent: np.ndarray) -> np.ndarray:
+            if not used:
+                return _NO_NORMALS
+            edges = agent.searchsorted(self._edges).tolist()
+            parts = []
+            for k, (s, e) in enumerate(zip(edges[::2], edges[1::2])):
+                if e > s:
+                    start = used[k]
+                    used[k] += e - s
+                    parts.append(self.rows(k, used[k])[start:])
+            if len(parts) == 1:
+                return parts[0]
+            return np.concatenate(parts) if parts else _NO_NORMALS
+
+        return read
 
 
 def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
@@ -237,12 +269,13 @@ def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
     return total, has
 
 
-def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pull):
+def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pull):
     """Steering force on every agent of the committee, (A, 3).
 
     ``offsets`` (A, n, 3) holds x - center per listed obstacle, ``dist``
     (A, n) its norms, ``surf`` the surface distances and ``nn`` (n, 3) the
-    center of each one's nearest other obstacle (None without one).  An
+    center of each one's nearest other obstacle (None without one).
+    ``read`` is a ``RandomRows.reader`` of the committee.  An
     obstacle acts on an agent when its surface lies within the agent's
     detection shell: one mask over ``surf`` yields the (agent, obstacle)
     pairs as flat indices, agent by agent with obstacle index ascending.
@@ -257,7 +290,7 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, rngs, manip_pul
         off, d = offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx)
         currents = batch_currents(
             com.kinds, agent, x, v, off, d, goal,
-            None if nn is None else nn.take(idx % n, axis=0), rngs,
+            None if nn is None else nn.take(idx % n, axis=0), read(agent),
         )
         rho = np.maximum(surf.take(idx), RHO_MIN)
         mag = com.k_r.take(agent) * (1.0 / rho - com.inv_r_d) / rho**2
@@ -276,11 +309,19 @@ def _circling(v, cs, com: Committee):
 
 
 def rollout(
-    com: Committee, x: np.ndarray, v: np.ndarray, scene: Scene, cfg: PlannerConfig
+    com: Committee,
+    x: np.ndarray,
+    v: np.ndarray,
+    scene: Scene,
+    cfg: PlannerConfig,
+    normals: RandomRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roll k = ``max(cfg.horizon, cfg.replan_every)`` steps of every
     committee agent's own field in lockstep from its row of the (A, 3)
     states (x, v), so that each rollout covers a committed segment.
+    Random agents read ``normals``, the committee's table (a new one when
+    None), from its first rows; ``cfg`` must carry the committee's master
+    seed.
 
     Returns positions (A, k+1, 3), per-sample clearances (A, k+1) and
     velocities (A, k+1, 3), from the start sample on, sample j at time
@@ -294,8 +335,12 @@ def rollout(
     """
     if x.shape != (len(com.ids), 3) or v.shape != x.shape:
         raise ValueError(f"x and v must have shape ({len(com.ids)}, 3)")
+    if cfg.master_seed & _SEED_MASK != com.seed:
+        raise ValueError(
+            f"committee streams are of master seed {com.seed}, not {cfg.master_seed}"
+        )
     n_steps = max(cfg.horizon, cfg.replan_every)
-    rngs = com.rngs(cfg)
+    read = (RandomRows(com) if normals is None else normals).reader()
     pos = np.empty((x.shape[0], n_steps + 1, 3))
     vel = np.empty_like(pos)
     clr = np.empty((x.shape[0], n_steps + 1))
@@ -321,7 +366,7 @@ def rollout(
         clr[:, i] = np.minimum.reduce(surf, axis=1) if radii.shape[0] else EMPTY_CLEARANCE
         if i == n_steps:
             return pos, clr, vel
-        force = _forces(x, v, offsets, dist, surf, scene.goal, nn, com, rngs, pull)
+        force = _forces(x, v, offsets, dist, surf, scene.goal, nn, com, read, pull)
         x, v = _euler_step(x, v, force, cfg.mass, cfg.dt, cfg.v_max)
         i += 1
 
@@ -333,17 +378,18 @@ def plan_step(
     scene: Scene,
     cfg: PlannerConfig,
     weights: AgentCostWeights,
-) -> tuple[int, Trajectory, np.ndarray]:
+    normals: RandomRows | None = None,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Roll out every agent from the shared state (x, v), each (3,), score
     all rollouts with one ``agent_costs`` call on their own clearances and
-    return the cheapest (ties go to the lowest id): its id, its rollout and
-    the rollout's per-sample velocities."""
+    return the cheapest (ties go to the lowest id): its id and its rollout's
+    positions (k+1, 3), clearances (k+1,) and velocities (k+1, 3).
+    ``normals`` is passed to ``rollout``."""
     n = len(com.ids)
     xs, vs = np.repeat(x[None], n, axis=0), np.repeat(v[None], n, axis=0)
-    pos, clr, vel = rollout(com, xs, vs, scene, cfg)
+    pos, clr, vel = rollout(com, xs, vs, scene, cfg, normals)
     best = int(np.argmin(agent_costs(pos, clr, scene, weights)))
-    times = np.arange(pos.shape[1]) * cfg.dt
-    return com.ids[best], Trajectory(times, pos[best], clr[best]), vel[best]
+    return com.ids[best], pos[best], clr[best], vel[best]
 
 
 def execute(
@@ -357,6 +403,7 @@ def execute(
     Deterministic: the result is a pure function of (scene, p, cfg, weights).
     """
     com = Committee.of(p, cfg)
+    normals = RandomRows(com)
     x = scene.start
     v = np.zeros(3)
     if scene.radii.shape[0]:
@@ -368,16 +415,16 @@ def execute(
     reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
     steps_used = 0
     while not reached and steps_used < cfg.max_steps:
-        best_id, traj, vel = plan_step(com, x, v, scene, cfg, weights)
+        best_id, pos, clr, vel = plan_step(com, x, v, scene, cfg, weights, normals)
         history.append((steps_used, best_id))
         n = min(cfg.replan_every, cfg.max_steps - steps_used)
-        gap = scene.goal - traj.positions[1 : n + 1]
+        gap = scene.goal - pos[1 : n + 1]
         within = (np.sqrt(dots(gap, gap)) <= cfg.goal_tolerance).nonzero()[0]
         if within.size:
             n = int(within[0]) + 1
-        positions.append(traj.positions[1 : n + 1])
-        clearances.append(traj.clearances[1 : n + 1])
-        x, v = traj.positions[n], vel[n]
+        positions.append(pos[1 : n + 1])
+        clearances.append(clr[1 : n + 1])
+        x, v = pos[n], vel[n]
         steps_used += n
         reached = bool(np.linalg.norm(scene.goal - x) <= cfg.goal_tolerance)
 

@@ -37,21 +37,33 @@ def current_for(kind, position, velocity, center, goal=GOAL, others=(), rng=None
     )
 
 
+def normals(kinds, agent, rngs) -> np.ndarray:
+    """The rows ``batch_currents`` takes for the pairs of random agents, in
+    pair order: each random agent's drawn from its own generator."""
+    rows = [
+        rngs[a].standard_normal((np.count_nonzero(agent == a), 3))
+        for a, kind in enumerate(kinds)
+        if kind is HeuristicKind.RANDOM
+    ]
+    return np.concatenate([np.zeros((0, 3)), *rows])
+
+
 def one_agent_currents(kind, position, velocity, centers, goal, nn_centers, rng):
     """``batch_currents`` for a committee of one agent facing every row of
-    ``centers``."""
+    ``centers``, a random agent drawing from ``rng``."""
     position = np.asarray(position, dtype=float)
     offsets = position - centers
+    agent = np.zeros(centers.shape[0], dtype=np.intp)
     return batch_currents(
         (kind,),
-        np.zeros(centers.shape[0], dtype=np.intp),
+        agent,
         position[None, :],
         np.asarray(velocity, dtype=float)[None, :],
         offsets,
         norms(offsets),
         goal,
         nn_centers,
-        (rng,),
+        normals((kind,), agent, (rng,)),
     )
 
 
@@ -335,6 +347,10 @@ def committee_rngs(kinds, seed):
     return [np.random.default_rng([seed, a]) if k is K.RANDOM else None for a, k in enumerate(kinds)]
 
 
+def committee_normals(kinds, agent, seed):
+    return normals(kinds, agent, committee_rngs(kinds, seed))
+
+
 class TestMixedCommittee:
     @pytest.mark.parametrize("with_nn", [False, True])
     @pytest.mark.parametrize("seed", range(4))
@@ -343,15 +359,16 @@ class TestMixedCommittee:
         agent, x, v, offsets, nn = mixed_committee(seed, with_nn)
         rows = batch_currents(
             MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, nn,
-            committee_rngs(MIXED_KINDS, seed),
+            committee_normals(MIXED_KINDS, agent, seed),
         )
         solo_rngs = committee_rngs(MIXED_KINDS, seed)
         for a, kind in enumerate(MIXED_KINDS):
             mine = agent == a
+            solo_agent = np.zeros(mine.sum(), dtype=np.intp)
             solo = batch_currents(
-                (kind,), np.zeros(mine.sum(), dtype=np.intp), x[a : a + 1], v[a : a + 1],
+                (kind,), solo_agent, x[a : a + 1], v[a : a + 1],
                 offsets[mine], norms(offsets[mine]), GOAL, None if nn is None else nn[mine],
-                (solo_rngs[a],),
+                normals((kind,), solo_agent, (solo_rngs[a],)),
             )
             assert rows[mine].tobytes() == solo.tobytes(), kind
 
@@ -361,7 +378,7 @@ class TestMixedCommittee:
         agent, x, v, offsets, nn = mixed_committee(seed, with_nn)
         rows = batch_currents(
             MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, nn,
-            committee_rngs(MIXED_KINDS, seed),
+            committee_normals(MIXED_KINDS, agent, seed),
         )
         assert np.isfinite(rows).all()
         rngs = committee_rngs(MIXED_KINDS, seed)
@@ -383,7 +400,7 @@ class TestMixedCommittee:
         agent, x, v, offsets, _ = mixed_committee(0, False)
         rows = batch_currents(
             MIXED_KINDS, agent, x, v, offsets, norms(offsets), GOAL, None,
-            committee_rngs(MIXED_KINDS, 0),
+            committee_normals(MIXED_KINDS, agent, 0),
         )
         first = np.searchsorted(agent, np.arange(len(MIXED_KINDS)))
         still = np.zeros(agent.size, dtype=bool)
@@ -401,7 +418,9 @@ class TestMixedCommittee:
         other = tuple(reversed(MIXED_KINDS))
         calls = [MIXED_KINDS, other, MIXED_KINDS, tuple(MIXED_KINDS), other]
         got = [
-            batch_currents(k, agent, x, v, offsets, norms(offsets), GOAL, nn, committee_rngs(k, 1))
+            batch_currents(
+                k, agent, x, v, offsets, norms(offsets), GOAL, nn, committee_normals(k, agent, 1)
+            )
             for k in calls
         ]
         assert got[0].tobytes() == got[2].tobytes() == got[3].tobytes()
@@ -450,5 +469,6 @@ def test_several_rows_flip_by_their_own_products():
         want = flip_reference(c, v, gap, owner)
         assert _flip_toward_goal(c.copy(), v, gap, owner).tobytes() == want.tobytes()
         rowwise = flip_reference(c, v, gap, np.arange(6))
+        assert _flip_toward_goal(c.copy(), v, gap, np.arange(6)).tobytes() == rowwise.tobytes()
         disagreements += rowwise.tobytes() != want.tobytes()
     assert disagreements > 0

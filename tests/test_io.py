@@ -32,6 +32,7 @@ from cfplan.scene import (
     SphereObstacle,
     WorkspaceBounds,
     default_desk_randomizer,
+    obstruction_scene,
     randomize_scene,
 )
 
@@ -154,6 +155,26 @@ class TestSceneArraysJson:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         save_scene(back, path)
         assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("which", ["obstruction", "empty", "exponents"])
+    def test_text_is_the_json_layout(self, tmp_path, which):
+        # the directly formatted text is json.dumps(..., indent=2) byte for
+        # byte, on one sphere, none, and floats whose repr needs an exponent
+        ws = WorkspaceBounds((-1e-17, -2.0, -0.0), (1.5e16, 2.0, 3.0))
+        scene = {
+            "obstruction": obstruction_scene,
+            "empty": lambda: Scene([], (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), ws),
+            "exponents": lambda: Scene(
+                [SphereObstacle((1e-17, -0.0, 2.5e-300), 1e-5), SphereObstacle((7e15, 1.0, 1.0), 0.5)],
+                (0.5, -1.0, 1e-8),
+                (1.0, 1.0, 3.0),
+                ws,
+            ),
+        }[which]()
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(scene_to_dict(scene), indent=2) + "\n"
+        assert load_scene(path).centers.tobytes() == scene.centers.tobytes()
 
     @pytest.mark.parametrize(
         "obstacle",

@@ -14,8 +14,10 @@ from cfplan.heuristics import HeuristicKind, agent_heuristic, compute_current
 from cfplan.params import agent_gains, detection_radius
 from cfplan.planner import (
     EMPTY_CLEARANCE,
+    ROW_BLOCK,
     Committee,
     PlannerConfig,
+    RandomRows,
     Trajectory,
     execute,
     plan_step,
@@ -129,32 +131,47 @@ class TestCommittee:
         assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
 
     def test_random_streams_are_fresh_per_call(self):
-        # every call restarts each stream: whatever the last call's streams
-        # drew, the draws are bitwise those of a generator seeded anew from
-        # (master_seed, id)
+        # every reader starts each stream over: whatever earlier readers
+        # read, the rows, past the table's first block included and in
+        # pieces of any size, are bitwise those of a generator seeded anew
+        # from (master_seed, id)
         for master_seed in (3, -1):
             cfg = PlannerConfig(master_seed=master_seed)
             com = Committee.of(make_params(), cfg)
-            first = com.rngs(cfg)
-            kinds = [k is not HeuristicKind.RANDOM for k in com.kinds]
-            assert [r is None for r in first] == kinds
-            for r in first:
-                if r is not None:
-                    r.standard_normal(1000)
+            random = [a for a, k in enumerate(com.kinds) if k is HeuristicKind.RANDOM]
+            assert random == [5, 6]
+            table = RandomRows(com)
             seed = master_seed & ((1 << 63) - 1)
-            for i, r in zip(com.ids, com.rngs(cfg)):
-                if r is not None:
-                    fresh = np.random.default_rng(np.random.SeedSequence([seed, i]))
-                    assert r.random(50).tobytes() == fresh.random(50).tobytes()
-                    want = fresh.standard_normal((9, 3)).tobytes()
-                    assert r.standard_normal((9, 3)).tobytes() == want
+            n = 5 * ROW_BLOCK + 7
+            want = [
+                np.random.default_rng(np.random.SeedSequence([seed, com.ids[a]]))
+                .standard_normal((n, 3))
+                for a in random
+            ]
+            for pieces in ([n], [1, ROW_BLOCK, 0, 3 * ROW_BLOCK, ROW_BLOCK + 6], [n]):
+                read, got = table.reader(), [[], []]
+                for size in pieces:
+                    counts = np.r_[np.ones(5, dtype=int), size, size // 2]
+                    rows = read(np.repeat(np.arange(7), counts))
+                    got[0].append(rows[:size])
+                    got[1].append(rows[size:])
+                assert np.concatenate(got[0]).tobytes() == want[0].tobytes()
+                assert np.concatenate(got[1]).tobytes() == want[1][: n // 2].tobytes()
 
     def test_streams_belong_to_one_master_seed(self):
-        cfg = PlannerConfig(master_seed=3)
+        # a rollout rejects a config whose master seed is not its
+        # committee's; the same 63 bits are the same seed and streams
+        scene = obstruction_scene()
+        cfg = PlannerConfig(horizon=5, master_seed=3)
         com = Committee.of(make_params(), cfg)
+        x, v = np.repeat(scene.start[None], 7, axis=0), np.zeros((7, 3))
         with pytest.raises(ValueError, match="master seed 3"):
-            com.rngs(dataclasses.replace(cfg, master_seed=7))
-        com.rngs(dataclasses.replace(cfg, master_seed=3 + (1 << 63)))  # the same 63 bits
+            rollout(com, x, v, scene, dataclasses.replace(cfg, master_seed=7))
+        wide = dataclasses.replace(cfg, master_seed=3 + (1 << 63))
+        rollout(com, x, v, scene, wide)
+        agent = np.repeat(np.arange(7), 9)
+        same = RandomRows(Committee.of(make_params(), wide)).reader()(agent)
+        assert same.tobytes() == RandomRows(com).reader()(agent).tobytes()
 
 
 class TestRollout:
@@ -211,16 +228,27 @@ class TestRollout:
         b = alone(com, 5, scene, cfg)
         assert np.array_equal(a.positions, b.positions)
 
-    def test_rollouts_from_one_state_are_bitwise_equal(self):
-        # one committee's random agents restart their streams on every
-        # rollout, so a rollout repeats that of a committee built anew
+    def test_rollouts_from_one_state_are_bitwise_equal(self, monkeypatch):
+        # rollouts sharing one table read each random agent's rows from the
+        # first on, so a rollout repeats that of a committee built anew,
+        # after another rollout has grown the table past its first block
         scene = clutter_scene()
         cfg = PlannerConfig(horizon=25, master_seed=4)
         com = Committee.of(LOCKSTEP_P, cfg)
         x, v = spread_states(cfg.n_agents, scene.start, seed=2)
-        first = rollout(com, x, v, scene, cfg)
-        rollout(com, x + 0.01, -v, scene, cfg)  # draws the streams differently
-        again = rollout(com, x, v, scene, cfg)
+        table = RandomRows(com)
+        stops = []
+        original = RandomRows.rows
+
+        def spied(self, k, stop):
+            stops.append(stop)
+            return original(self, k, stop)
+
+        monkeypatch.setattr(RandomRows, "rows", spied)
+        first = rollout(com, x, v, scene, cfg, table)
+        rollout(com, x + 0.01, -v, scene, cfg, table)  # reads the streams differently
+        assert max(stops) > ROW_BLOCK
+        again = rollout(com, x, v, scene, cfg, table)
         anew = rollout(Committee.of(LOCKSTEP_P, cfg), x, v, scene, cfg)
         for a, b, c in zip(first, again, anew):  # positions, clearances, velocities
             assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -263,7 +291,7 @@ class TestPlanStep:
             (desk, PlannerConfig()),
         ):
             com = Committee.of(untuned_baseline(), cfg)
-            chosen, _, _ = plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)
+            chosen = plan_step(com, scene.start, np.zeros(3), scene, cfg, WEIGHTS)[0]
             x, v = np.repeat(scene.start[None], cfg.n_agents, 0), np.zeros((cfg.n_agents, 3))
             pos, clr, _ = rollout(com, x, v, scene, cfg)
             scored = agent_costs(pos, clr, scene, WEIGHTS)
@@ -414,10 +442,11 @@ def assert_forces_match_scalar_oracle(which: str, p: np.ndarray) -> None:
     assert np.all(np.any(surf <= r_d, axis=1))  # every agent steers
     force = planner._forces(
         x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
-        com, com.rngs(cfg), cfg.manip_direction,
+        com, RandomRows(com).reader(), cfg.manip_direction,
     )
     obstacles = scene.obstacles
-    for k, (kind, rng) in enumerate(zip(com.kinds, com.rngs(cfg))):
+    for k, (i, kind) in enumerate(zip(com.ids, com.kinds)):
+        rng = np.random.default_rng(np.random.SeedSequence([com.seed, i]))
         state = AgentKinematics(x[k], v[k])
         currents = [
             compute_current(
@@ -600,17 +629,23 @@ class TestExecute:
         assert len(result.trajectory) == result.steps_used + 1
 
     def test_builds_one_committee_per_plan(self, monkeypatch):
-        built = []
+        built, tables = [], []
         original = planner.Committee.of
 
         def counting(p, cfg):
             built.append(original(p, cfg))
             return built[-1]
 
+        class CountedRows(RandomRows):
+            def __init__(self, com):
+                super().__init__(com)
+                tables.append(com)
+
         monkeypatch.setattr(planner.Committee, "of", counting)
+        monkeypatch.setattr(planner, "RandomRows", CountedRows)
         result = execute(obstruction_scene(), untuned_baseline(), BENCH_CFG, WEIGHTS)
         assert len(result.best_agent_history) > 1
-        assert len(built) == 1
+        assert len(built) == 1 and tables == built
 
     def test_start_at_goal_short_circuits(self):
         from tests.conftest import empty_scene
@@ -641,19 +676,19 @@ def assert_segments_are_rollout_prefixes(result, steps, dt):
     """Each committed segment, start sample included, is byte for byte the
     start of the rollout that won its replan, and the next replan starts from
     that rollout's state at the cut."""
-    assert [won for _, won in result.best_agent_history] == [won for _, won, _, _ in steps]
+    assert [won for _, won in result.best_agent_history] == [won for _, won, *_ in steps]
     bounds = [step for step, _ in result.best_agent_history] + [result.steps_used]
     traj = result.trajectory
-    for k, ((_, _, rolled, vel), a, b) in enumerate(zip(steps, bounds, bounds[1:])):
+    for k, ((_, _, pos, clr, vel), a, b) in enumerate(zip(steps, bounds, bounds[1:])):
         n = b - a
-        assert len(rolled) == vel.shape[0] > n
-        assert traj.positions[a : b + 1].tobytes() == rolled.positions[: n + 1].tobytes()
-        assert traj.clearances[a : b + 1].tobytes() == rolled.clearances[: n + 1].tobytes()
+        assert pos.shape[0] == clr.shape[0] == vel.shape[0] > n
+        assert traj.positions[a : b + 1].tobytes() == pos[: n + 1].tobytes()
+        assert traj.clearances[a : b + 1].tobytes() == clr[: n + 1].tobytes()
         # semi-implicit Euler moves each sample by dt times the next velocity
-        assert np.allclose(np.diff(rolled.positions, axis=0), dt * vel[1:], rtol=0, atol=1e-12)
+        assert np.allclose(np.diff(pos, axis=0), dt * vel[1:], rtol=0, atol=1e-12)
         if k + 1 < len(steps):
             x, v = steps[k + 1][0]
-            assert x.tobytes() == rolled.positions[n].tobytes()
+            assert x.tobytes() == pos[n].tobytes()
             assert v.tobytes() == vel[n].tobytes()
 
 
@@ -670,7 +705,7 @@ class TestCommittedSegment:
         cfg = PlannerConfig(horizon=10, replan_every=15, max_steps=300, master_seed=4)
         result, steps = recorded_execute(monkeypatch, clutter_scene(), LOCKSTEP_P, cfg)
         assert len(steps) > 1
-        assert all(len(rolled) == cfg.replan_every + 1 for _, _, rolled, _ in steps)
+        assert all(pos.shape[0] == cfg.replan_every + 1 for _, _, pos, _, _ in steps)
         assert_segments_are_rollout_prefixes(result, steps, cfg.dt)
 
     def test_goal_mid_segment_stops_at_first_sample_within_tolerance(self, monkeypatch):
@@ -682,7 +717,7 @@ class TestCommittedSegment:
         assert result.reached
         last_replan = result.best_agent_history[-1][0]
         assert 0 < result.steps_used - last_replan < cfg.replan_every
-        gaps = np.linalg.norm(steps[-1][2].positions - scene.goal, axis=1)
+        gaps = np.linalg.norm(steps[-1][2] - scene.goal, axis=1)
         assert gaps[result.steps_used - last_replan] <= cfg.goal_tolerance
         assert np.all(gaps[1 : result.steps_used - last_replan] > cfg.goal_tolerance)
         assert len(result.trajectory) == result.steps_used + 1

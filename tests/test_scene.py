@@ -15,6 +15,7 @@ from cfplan import scene as scene_mod
 from cfplan.labeling import scene_surface_cloud
 from cfplan.scene import (
     FPS_BATCH,
+    NN_K,
     Cuboid,
     Cylinder,
     DepthImage,
@@ -168,6 +169,28 @@ class TestSceneArrays:
                     best_j, best_d2 = j, d2
             want.append(centers[best_j])
         assert np.array_equal(scene.nn_centers, np.array(want))
+
+    @pytest.mark.parametrize("case", ["9 coincident", "17 coincident", "12 equidistant", "n < NN_K"])
+    def test_nn_centers_with_tie_sets_wider_than_the_first_query(self, case):
+        # the first tree query asks for NN_K = 8 neighbours; wider tie sets
+        # are asked again, and the lowest score, then the lowest index, wins
+        rng = np.random.default_rng(4)
+        far = 0.25 * rng.integers(-8, 8, size=(10, 3)) + 4.0
+        if case.endswith("coincident"):
+            copies = int(case.split()[0])
+            centers = np.vstack([np.tile([0.5, 0.25, 0.0], (copies, 1)), [[0.5, 0.75, 0.0]], far])
+        elif case == "12 equidistant":
+            # a cuboctahedron's center and vertices: every vertex is as far
+            # from the center as from its four neighbouring vertices
+            signs = [(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+            vertices = [np.roll((a, b, 0.0), shift) for a, b in signs for shift in range(3)]
+            centers = np.vstack([np.zeros((1, 3)), 0.25 * np.array(vertices), far])
+        else:
+            centers = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        assert case != "n < NN_K" or len(centers) < NN_K
+        centers = rng.permutation(centers)
+        scene = spheres_scene(centers, [0.01] * len(centers))
+        assert scene.nn_centers.tobytes() == nn_reference(centers).tobytes()
 
     def test_arrays_are_shared_and_read_only(self):
         scene = Scene(
