@@ -92,7 +92,7 @@ from cfplan import (
 )
 from cfplan import planner
 from cfplan.io import load_scene, save_scene
-from cfplan.heuristics import batch_currents
+from cfplan.heuristics import _committee_layout, batch_currents
 from cfplan.vec3 import norms
 
 DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
@@ -342,7 +342,8 @@ def currents_digest() -> str:
             if k is K.RANDOM
         ]
         rows = batch_currents(
-            kinds, agent, x, v, offsets, norms(offsets), goal, nn, np.concatenate(normals)
+            _committee_layout(kinds), agent, x, v, offsets, norms(offsets), goal, nn,
+            np.concatenate(normals),
         )
         h.update(rows.tobytes())
     for x, v, scene, p, cfg in forces_cases():

@@ -9,6 +9,9 @@ Subcommands:
   writing the trajectory CSV and an SVG rendering
 - ``infer``: predict parameters for a point-cloud CSV from a dataset
 
+Flags name only files, counts and seeds: every other setting of a run, the
+tuner budget and the predictor's k included, comes from the run config.
+
 stdout carries machine-readable JSON only; progress notes and file-written
 confirmations go to stderr.  Exit codes: 0 on success, 1 when a requested
 plan does not reach the goal, 2 on usage or input errors.
@@ -17,7 +20,6 @@ plan does not reach the goal, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ from .config import RunConfig, load_run_config
 from .cost import trajectory_cost
 from .inference import featurize, knn_predict
 from .labeling import label_scene_set, load_dataset, scene_surface_cloud
-from .params import validate_params
+from .params import param_dim, validate_params
 from .planner import execute
 from .plot import save_plan_svg
 from .scene import PlacementFailure, randomize_scene
@@ -38,7 +40,22 @@ def _note(msg: str) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    return load_run_config(getattr(args, "config", None))
+    return load_run_config(args.config)
+
+
+def _infer(cloud, workspace, cfg: RunConfig, dataset_path):
+    """Gains for ``cloud`` by k-NN over the dataset at ``dataset_path``,
+    clipped to the config's bounds: the one inference step of ``plan
+    --infer`` and ``infer``.  Labels for another agent count are rejected."""
+    dataset = load_dataset(dataset_path)
+    n_agents = cfg.planner.n_agents
+    if dataset and dataset[0].p_star.size != param_dim(n_agents):
+        raise ValueError(
+            f"{dataset_path}: labels are for {(dataset[0].p_star.size - 1) // 5} agents, "
+            f"the config plans for {n_agents}"
+        )
+    p = knn_predict(featurize(cloud, workspace), dataset, workspace, k=cfg.knn_k)
+    return validate_params(cfg.bounds.clip(p), n_agents)
 
 
 def cmd_gen_scenes(args) -> int:
@@ -60,12 +77,6 @@ def cmd_gen_scenes(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _load_config(args)
-    # the overrides pass the RunConfig checks before any scene loads
-    cfg = dataclasses.replace(
-        cfg,
-        n_init=cfg.n_init if args.init is None else args.init,
-        n_iter=cfg.n_iter if args.iters is None else args.iters,
-    )
     scene_dir = Path(args.scenes)
     paths = sorted(scene_dir.glob("*.json"))
     if not paths:
@@ -107,12 +118,7 @@ def cmd_plan(args) -> int:
     if args.params is not None:
         p = validate_params(io.load_params(args.params), cfg.planner.n_agents)
     else:
-        dataset = load_dataset(args.infer)
-        cloud = scene_surface_cloud(scene, seed=0)
-        query = featurize(cloud, scene.workspace)
-        k = args.k if args.k is not None else cfg.knn_k
-        p = knn_predict(query, dataset, scene.workspace, k=k)
-        p = validate_params(cfg.bounds.clip(p), cfg.planner.n_agents)
+        p = _infer(scene_surface_cloud(scene, seed=0), scene.workspace, cfg, args.infer)
     result = execute(scene, p, cfg.planner, cfg.agent_weights)
     cost = trajectory_cost(result.trajectory, scene, cfg.trajectory_weights)
     if args.traj:
@@ -137,11 +143,7 @@ def cmd_plan(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
-    cloud = io.load_cloud_csv(args.cloud)
-    dataset = load_dataset(args.dataset)
-    k = args.k if args.k is not None else cfg.knn_k
-    query = featurize(cloud, cfg.randomizer.workspace)
-    p = knn_predict(query, dataset, cfg.randomizer.workspace, k=k)
+    p = _infer(io.load_cloud_csv(args.cloud), cfg.randomizer.workspace, cfg, args.dataset)
     if args.out:
         io.save_params(p, args.out)
         _note(f"wrote {args.out}")
@@ -166,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     label = sub.add_parser("label", help="tune gains for every scene in a directory")
     label.add_argument("--scenes", required=True, help="directory of scene JSON files")
     label.add_argument("--out", required=True, help="output dataset (JSON lines)")
-    label.add_argument("--iters", type=int, default=None, help="tuner iterations")
-    label.add_argument("--init", type=int, default=None, help="tuner initial samples")
     label.add_argument("--seed", type=int, default=0)
     label.add_argument("--summary", default=None, help="summary JSON path")
     label.add_argument("--config", default=None)
@@ -178,7 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source = plan.add_mutually_exclusive_group(required=True)
     source.add_argument("--params", default=None, help="parameter JSON file")
     source.add_argument("--infer", default=None, help="dataset to infer parameters from")
-    plan.add_argument("--k", type=int, default=None, help="neighbors for --infer")
     plan.add_argument("--traj", default=None, help="trajectory CSV path")
     plan.add_argument("--plot", default=None, help="SVG output path")
     plan.add_argument("--config", default=None)
@@ -187,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     infer = sub.add_parser("infer", help="predict parameters for a point cloud")
     infer.add_argument("--cloud", required=True, help="point cloud CSV")
     infer.add_argument("--dataset", required=True, help="labeled dataset JSONL")
-    infer.add_argument("--k", type=int, default=None)
     infer.add_argument("--out", default=None, help="parameter JSON output")
     infer.add_argument("--config", default=None)
     infer.set_defaults(func=cmd_infer)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cost import AgentCostWeights, TrajectoryCostWeights
 from .io import check_json_numbers, json_integer
-from .params import BoundsBox, default_bounds
+from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig
 from .scene import (
     Cuboid,
@@ -43,6 +43,11 @@ class RunConfig:
             raise ValueError(
                 f"need tuner.n_init >= 2, tuner.n_iter >= 0 and knn_k >= 1, got "
                 f"{self.n_init}, {self.n_iter} and {self.knn_k}"
+            )
+        if self.bounds.dim != param_dim(self.planner.n_agents):
+            raise ValueError(
+                f"bounds hold {self.bounds.dim} entries, but {self.planner.n_agents} "
+                f"agents need {param_dim(self.planner.n_agents)}"
             )
 
 

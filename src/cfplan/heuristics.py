@@ -102,21 +102,8 @@ def _committee_layout(kinds: tuple[HeuristicKind, ...]):
     )
 
 
-# the last committee's layout, found by identity: a planner passes the same
-# kinds tuple on every step of a plan, and Enum members hash in Python
-_last_layout: tuple = (None, None)
-
-
-def _layout(kinds: tuple[HeuristicKind, ...]):
-    global _last_layout
-    last = _last_layout  # one read, so a concurrent call cannot pair other kinds
-    if last[0] is not kinds:
-        last = _last_layout = (kinds, _committee_layout(kinds))
-    return last[1]
-
-
 def batch_currents(
-    kinds: tuple[HeuristicKind, ...],
+    layout: tuple,
     agent: np.ndarray,
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -128,8 +115,9 @@ def batch_currents(
 ) -> np.ndarray:
     """Unit current of every (agent, obstacle) pair of a committee.
 
-    Agent ``a`` has heuristic ``kinds[a]`` and state ``positions[a]``,
-    ``velocities[a]``.  Pair ``k`` couples agent ``agent[k]``
+    ``layout`` is ``_committee_layout(kinds)`` of the committee's heuristics
+    (``Committee.layout``): agent ``a`` has heuristic ``kinds[a]`` and state
+    ``positions[a]``, ``velocities[a]``.  Pair ``k`` couples agent ``agent[k]``
     (non-decreasing) with an obstacle whose center lies at
     ``positions[agent[k]] - offsets[k]``, at distance ``distances[k]`` (the
     norm of ``offsets[k]``); that obstacle's nearest other obstacle is
@@ -145,7 +133,7 @@ def batch_currents(
     m = agent.shape[0]
     if m == 0:
         return np.zeros((0, 3))
-    goal_w, switches, random = _layout(kinds)
+    goal_w, switches, random = layout
     switches = switches.take(agent, axis=0)
     # d = (center - x) / |center - x|, unscaled when the norm is tiny;
     # 0 - (x - center) rounds like center - x, signed zeros included

@@ -66,7 +66,7 @@ def knn_predict(
     query: SceneDescriptor,
     dataset: list[LabeledSample],
     workspace: WorkspaceBounds,
-    k: int = 3,
+    k: int,
 ) -> np.ndarray:
     """Inverse-distance-weighted average of the k nearest stored parameter
     vectors in descriptor space.

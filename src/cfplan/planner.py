@@ -59,7 +59,7 @@ import numpy as np
 
 from .cost import AgentCostWeights, agent_costs, scene_clearances
 from .fields import RHO_MIN, GainSet, manipulability_force
-from .heuristics import HeuristicKind, agent_heuristic, batch_currents
+from .heuristics import HeuristicKind, _committee_layout, agent_heuristic, batch_currents
 from .params import detection_radius, split_params, validate_params
 from .scene import Scene, finite_real
 from .vec3 import dots, norms
@@ -206,6 +206,11 @@ class Committee:
             seed=cfg.master_seed & _SEED_MASK,
         )
 
+    @cached_property
+    def layout(self) -> tuple:
+        """The heuristics' layout that ``batch_currents`` reads."""
+        return _committee_layout(self.kinds)
+
 
 class RandomRows:
     """The raw currents of a committee's random agents: the agent of id
@@ -289,7 +294,7 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pul
         agent = idx // n
         off, d = offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx)
         currents = batch_currents(
-            com.kinds, agent, x, v, off, d, goal,
+            com.layout, agent, x, v, off, d, goal,
             None if nn is None else nn.take(idx % n, axis=0), read(agent),
         )
         rho = np.maximum(surf.take(idx), RHO_MIN)

@@ -1,6 +1,6 @@
 """Shared fixtures: the midpoint-obstruction scene (``cfplan.obstruction_scene``,
-re-exported here), canonical parameter vectors and scenes, a cheap planner
-configuration for benchmark-style tests, and brute-force cost oracles."""
+re-exported here), canonical parameter vectors, bounds and scenes, a cheap
+planner configuration for benchmark-style tests, and brute-force cost oracles."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from cfplan import (
     obstruction_scene,
 )
 from cfplan.cost import D_CLAMP
-from cfplan.params import join_params
+from cfplan.params import BoundsBox, join_params, param_dim
 
 settings.register_profile(
     "suite",
@@ -52,6 +52,18 @@ def untuned_baseline(n_agents: int = N_AGENTS) -> np.ndarray:
     """Plain PD pull with an active detection shell but no avoidance gains;
     drives straight through whatever blocks the line to the goal."""
     return make_params(n_agents, k_p=10.0, k_v=5.0, r_d=0.3)
+
+
+def narrow_bounds(n_agents: int = N_AGENTS) -> BoundsBox:
+    """A box so tight that any draw is a good attraction-only controller."""
+    d = param_dim(n_agents)
+    low = np.zeros(d)
+    high = np.full(d, 1e-6)
+    low[:n_agents], high[:n_agents] = 9.9, 10.1            # k_p
+    low[n_agents : 2 * n_agents] = 4.9                      # k_v
+    high[n_agents : 2 * n_agents] = 5.1
+    low[-1], high[-1] = 0.05, 0.0501                        # r_d
+    return BoundsBox(low, high)
 
 
 def empty_scene(goal=(0.3, 0.2, 0.6)) -> Scene:

@@ -3,28 +3,25 @@ file side effects."""
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfplan import io
+from cfplan import cli, io
 from cfplan.cli import main
-from cfplan.labeling import load_dataset
+from cfplan.labeling import LabeledSample, load_dataset, scene_surface_cloud, write_dataset
 from cfplan.params import param_dim
-from tests.conftest import easy_scene, make_params, untuned_baseline
+from cfplan.scene import default_desk_randomizer, randomize_scene
+from tests.conftest import easy_scene, make_params, narrow_bounds, untuned_baseline
+
+STORED_DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 
 
-def narrow_bounds_json(n_agents: int = 7) -> dict:
-    d = param_dim(n_agents)
-    low = np.zeros(d)
-    high = np.full(d, 1e-6)
-    low[:n_agents], high[:n_agents] = 9.9, 10.1
-    low[n_agents : 2 * n_agents] = 4.9
-    high[n_agents : 2 * n_agents] = 5.1
-    low[-1], high[-1] = 0.05, 0.0501
-    return {"low": low.tolist(), "high": high.tolist()}
+def bounds_json(box) -> dict:
+    return {"low": box.low.tolist(), "high": box.high.tolist()}
 
 
 @pytest.fixture
@@ -35,7 +32,7 @@ def cheap_config(tmp_path):
             {
                 "planner": {"horizon": 10, "replan_every": 10, "max_steps": 150},
                 "tuner": {"n_init": 2, "n_iter": 0},
-                "bounds": narrow_bounds_json(),
+                "bounds": bounds_json(narrow_bounds()),
                 "randomizer": {
                     "workspace": {"min": [-0.5, -0.5, 0.0], "max": [0.5, 0.5, 1.0]},
                     "start": [-0.3, 0.0, 0.5],
@@ -53,6 +50,40 @@ def cheap_config(tmp_path):
         )
     )
     return str(path)
+
+
+def make_dataset(tmp_path) -> str:
+    """Four labels for seven agents."""
+    rng = np.random.default_rng(0)
+    samples = [
+        LabeledSample(
+            scene_id=i,
+            points=rng.uniform(-0.4, 0.4, (50, 3)),
+            p_star=make_params(k_p=10.0 + i, k_v=5.0, r_d=0.3),
+            best_cost=float(i),
+        )
+        for i in range(4)
+    ]
+    path = tmp_path / "d.jsonl"
+    write_dataset(samples, path)
+    return str(path)
+
+
+def write_config(tmp_path, base: str, **sections) -> str:
+    """The config at ``base`` with the given sections merged in, written
+    next to it under another name."""
+    config = json.loads(Path(base).read_text(encoding="utf-8"))
+    for section, values in sections.items():
+        config.setdefault(section, {}).update(values)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def five_agent_config(tmp_path, cheap_config) -> str:
+    return write_config(
+        tmp_path, cheap_config, planner={"n_agents": 5}, bounds=bounds_json(narrow_bounds(5))
+    )
 
 
 def run_cli(capsys, *argv):
@@ -193,9 +224,18 @@ class TestLabel:
         assert code == 0
         assert summary_path.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--init", "1"), ("--iters", "-1")])
-    def test_bad_budget_fails_before_any_scene_loads(
-        self, tmp_path, capsys, cheap_config, monkeypatch, flag, value
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"tuner": {"n_init": 1}}, "n_init >= 2"),
+            ({"tuner": {"n_iter": -1}}, "n_init >= 2"),
+            # cheap_config's bounds hold 36 entries, for seven agents
+            ({"planner": {"n_agents": 5}}, "bounds hold 36 entries, but 5 agents need 26"),
+        ],
+        ids=["n_init-1", "n_iter--1", "n_agents-5"],
+    )
+    def test_bad_config_fails_before_any_scene_loads(
+        self, tmp_path, capsys, cheap_config, monkeypatch, sections, message
     ):
         scene_dir = tmp_path / "scenes"
         scene_dir.mkdir()
@@ -206,10 +246,10 @@ class TestLabel:
         monkeypatch.setattr(io, "load_scene", lambda path: loaded.append(path) or original(path))
         code, stdout, stderr = run_cli(
             capsys, "label", "--scenes", str(scene_dir), "--out", str(tmp_path / "d.jsonl"),
-            "--config", cheap_config, flag, value,
+            "--config", write_config(tmp_path, cheap_config, **sections),
         )
         assert code == 2
-        assert stdout == "" and "n_init >= 2" in stderr
+        assert stdout == "" and message in stderr
         assert loaded == []
         assert not (tmp_path / "d.jsonl").exists()
 
@@ -261,8 +301,6 @@ class TestPlan:
         assert json.loads(stdout)["reached"] is False
 
     def test_infer_source(self, tmp_path, capsys, cheap_config):
-        from cfplan.labeling import LabeledSample, scene_surface_cloud, write_dataset
-
         scene = easy_scene()
         scene_path = tmp_path / "scene.json"
         io.save_scene(scene, scene_path)
@@ -283,6 +321,49 @@ class TestPlan:
         )
         assert code == 0
         assert json.loads(stdout)["reached"] is True
+
+    def test_infer_rejects_labels_for_other_agents(self, tmp_path, capsys, cheap_config):
+        scene_path = tmp_path / "scene.json"
+        io.save_scene(easy_scene(), scene_path)
+        code, stdout, stderr = run_cli(
+            capsys, "plan", "--scene", str(scene_path), "--infer", make_dataset(tmp_path),
+            "--config", five_agent_config(tmp_path, cheap_config),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "labels are for 7 agents, the config plans for 5" in stderr
+
+    def test_infer_then_params_equals_plan_infer(self, tmp_path, capsys):
+        # both commands take one inference step: ``infer`` on the scene's
+        # cloud, then ``plan --params``, is ``plan --infer`` byte for byte
+        scene_path = tmp_path / "scene.json"
+        io.save_scene(randomize_scene(default_desk_randomizer(), 2_000_019), scene_path)
+        scene = io.load_scene(scene_path)
+        workspace = default_desk_randomizer().workspace
+        assert np.array_equal(scene.workspace.min, workspace.min)
+        assert np.array_equal(scene.workspace.max, workspace.max)
+        cloud_path = tmp_path / "cloud.csv"
+        io.save_cloud_csv(scene_surface_cloud(scene, seed=0), cloud_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"planner": {"horizon": 20, "replan_every": 20, "max_steps": 600}})
+        )
+        config = ("--config", str(config_path))
+        params_path = tmp_path / "p.json"
+        code, _, _ = run_cli(
+            capsys, "infer", "--cloud", str(cloud_path), "--dataset", str(STORED_DATASET),
+            "--out", str(params_path), *config,
+        )
+        assert code == 0
+        runs = []
+        for source in (("--params", str(params_path)), ("--infer", str(STORED_DATASET))):
+            traj_path = tmp_path / f"traj{len(runs)}.csv"
+            code, stdout, _ = run_cli(
+                capsys, "plan", "--scene", str(scene_path), *source,
+                "--traj", str(traj_path), *config,
+            )
+            runs.append((code, stdout, traj_path.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_params_and_infer_conflict(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -384,25 +465,8 @@ class TestPlan:
 
 
 class TestInfer:
-    def make_dataset(self, tmp_path) -> str:
-        from cfplan.labeling import LabeledSample, write_dataset
-
-        rng = np.random.default_rng(0)
-        samples = [
-            LabeledSample(
-                scene_id=i,
-                points=rng.uniform(-0.4, 0.4, (50, 3)),
-                p_star=make_params(k_p=10.0 + i, k_v=5.0, r_d=0.3),
-                best_cost=float(i),
-            )
-            for i in range(4)
-        ]
-        path = tmp_path / "d.jsonl"
-        write_dataset(samples, path)
-        return str(path)
-
     def test_prints_param_array(self, tmp_path, capsys, cheap_config):
-        dataset = self.make_dataset(tmp_path)
+        dataset = make_dataset(tmp_path)
         cloud_path = tmp_path / "cloud.csv"
         rng = np.random.default_rng(1)
         io.save_cloud_csv(
@@ -416,9 +480,31 @@ class TestInfer:
         p = json.loads(stdout)
         assert len(p) == 36
         assert all(np.isfinite(p))
+        # every label's k_p and r_d lie above the config's bounds: the blend is clipped
+        assert narrow_bounds().contains(p)
+
+    def test_k_comes_from_config(self, tmp_path, capsys):
+        # the default bounds clip no label: k = 1 returns the nearest label,
+        # k = 4 blends all four
+        dataset = make_dataset(tmp_path)
+        labels = [s.p_star.tolist() for s in load_dataset(dataset)]
+        cloud_path = tmp_path / "cloud.csv"
+        rng = np.random.default_rng(1)
+        io.save_cloud_csv(io.PointCloud(rng.uniform(-0.4, 0.4, (50, 3))), cloud_path)
+        config_path = tmp_path / "run.json"
+        got = []
+        for k in (1, 4):
+            config_path.write_text(json.dumps({"knn_k": k}))
+            code, stdout, _ = run_cli(
+                capsys, "infer", "--cloud", str(cloud_path), "--dataset", dataset,
+                "--config", str(config_path),
+            )
+            assert code == 0
+            got.append(json.loads(stdout))
+        assert got[0] in labels and got[1] not in labels
 
     def test_out_flag_saves_same_vector(self, tmp_path, capsys, cheap_config):
-        dataset = self.make_dataset(tmp_path)
+        dataset = make_dataset(tmp_path)
         cloud_path = tmp_path / "cloud.csv"
         rng = np.random.default_rng(2)
         io.save_cloud_csv(
@@ -435,7 +521,7 @@ class TestInfer:
     @pytest.mark.parametrize("key", ["p_star", "points"])
     def test_non_finite_dataset_is_usage_error(self, tmp_path, capsys, cheap_config, key):
         # NaN in a stored label would otherwise reach stdout as non-JSON NaN
-        dataset = Path(self.make_dataset(tmp_path))
+        dataset = Path(make_dataset(tmp_path))
         records = [json.loads(line) for line in dataset.read_text().splitlines()]
         records[1][key][0] = [float("nan")] * 3 if key == "points" else float("inf")
         dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -449,6 +535,17 @@ class TestInfer:
         assert code == 2
         assert stdout == ""
         assert f"d.jsonl:2: bad dataset record: {key} must hold only finite numbers" in stderr
+
+    def test_rejects_labels_for_other_agents(self, tmp_path, capsys, cheap_config):
+        cloud_path = tmp_path / "cloud.csv"
+        io.save_cloud_csv(io.PointCloud(np.zeros((2, 3))), cloud_path)
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--cloud", str(cloud_path), "--dataset", make_dataset(tmp_path),
+            "--config", five_agent_config(tmp_path, cheap_config),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "labels are for 7 agents, the config plans for 5" in stderr
 
     def test_empty_dataset(self, tmp_path, capsys, cheap_config):
         dataset = tmp_path / "empty.jsonl"
@@ -473,3 +570,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_options_of_each_subcommand(self):
+        # every other setting of a run, knn_k and the tuner budget included,
+        # comes from the run config
+        (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, parser in sub.choices.items()
+        }
+        assert options == {
+            "gen-scenes": ["--count", "--seed", "--out", "--config"],
+            "label": ["--scenes", "--out", "--seed", "--summary", "--config"],
+            "plan": ["--scene", "--params", "--infer", "--traj", "--plot", "--config"],
+            "infer": ["--cloud", "--dataset", "--out", "--config"],
+        }

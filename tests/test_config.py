@@ -113,6 +113,11 @@ class TestBoundsSection:
         cfg = run_config_from_dict({"planner": {"n_agents": 3}})
         assert cfg.bounds.dim == 16
 
+    def test_bounds_for_other_agent_count_rejected(self):
+        bounds = {"low": [0.0] * 36, "high": [1.0] * 36}
+        with pytest.raises(ValueError, match="bounds hold 36 entries, but 5 agents need 26"):
+            run_config_from_dict({"planner": {"n_agents": 5}, "bounds": bounds})
+
     def test_mixed_keys_rejected(self):
         with pytest.raises(ValueError):
             run_config_from_dict({"bounds": {"low": [0.0], "gain_high": 5.0}})

@@ -127,14 +127,14 @@ class TestKnnPredict:
             sample_of([[50.0, 50.0, 50.0]], p1),
         ]
         q = featurize(PointCloud(np.array([[1.0, 1.0, 1.0]])), WS)
-        assert np.array_equal(knn_predict(q, data, WS), p0)
+        assert np.array_equal(knn_predict(q, data, WS, k=3), p0)
 
     def test_exact_tie_takes_lowest_index(self):
         p0, p1 = np.full(36, 1.0), np.full(36, 9.0)
         cloud = [[1.0, 1.0, 1.0]]
         data = [sample_of(cloud, p0), sample_of(cloud, p1)]
         q = featurize(PointCloud(np.array(cloud)), WS)
-        assert np.array_equal(knn_predict(q, data, WS), p0)
+        assert np.array_equal(knn_predict(q, data, WS, k=3), p0)
 
     def test_inverse_distance_weights(self):
         # all three single-point clouds share histogram cell (0,0,0), so the
@@ -174,7 +174,7 @@ class TestKnnPredict:
     def test_empty_dataset_raises(self):
         q = featurize(PointCloud(np.zeros((0, 3))), WS)
         with pytest.raises(EmptyDatasetError):
-            knn_predict(q, [], WS)
+            knn_predict(q, [], WS, k=3)
 
     def test_bad_k_raises(self):
         data = [sample_of([[1.0, 1.0, 1.0]], np.zeros(36))]

@@ -28,7 +28,7 @@ from cfplan.labeling import (
     tune_scene,
     write_dataset,
 )
-from cfplan.params import BoundsBox, param_dim
+from cfplan.params import BoundsBox
 from cfplan.planner import PlannerConfig
 from cfplan.scene import (
     PointCloud,
@@ -43,25 +43,13 @@ from cfplan.scene import (
     scene_arrays,
     subsample,
 )
-from tests.conftest import easy_scene, empty_scene
+from tests.conftest import easy_scene, empty_scene, narrow_bounds
 
 STORED_DATASET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "desk_train.jsonl"
 
 AGENT_W = AgentCostWeights()
 TRAJ_W = TrajectoryCostWeights()
 CHEAP_CFG = PlannerConfig(horizon=10, replan_every=10, max_steps=150)
-
-
-def narrow_bounds(n_agents: int = 7) -> BoundsBox:
-    """A box so tight that any draw is a good attraction-only controller."""
-    d = param_dim(n_agents)
-    low = np.zeros(d)
-    high = np.full(d, 1e-6)
-    low[:n_agents], high[:n_agents] = 9.9, 10.1            # k_p
-    low[n_agents : 2 * n_agents] = 4.9                      # k_v
-    high[n_agents : 2 * n_agents] = 5.1
-    low[-1], high[-1] = 0.05, 0.0501                        # r_d
-    return BoundsBox(low, high)
 
 
 def blind_bounds(n_agents: int = 7) -> BoundsBox:

@@ -130,6 +130,14 @@ class TestCommittee:
         p[:] = 9.0
         assert np.all(com.k_p == 2.0) and np.all(com.k_r == 1.0)
 
+    def test_layout_is_built_once_per_committee(self):
+        com = Committee.of(make_params(k_p=2.0, r_d=0.4), PlannerConfig())
+        assert com.layout is com.layout
+        for k in range(len(com.ids)):
+            one = member(com, k)  # a replaced committee builds its own
+            assert np.array_equal(one.layout[1], com.layout[1][k : k + 1])
+            assert (one.layout[2] is None) == (com.kinds[k] is not HeuristicKind.RANDOM)
+
     def test_random_streams_are_fresh_per_call(self):
         # every reader starts each stream over: whatever earlier readers
         # read, the rows, past the table's first block included and in
