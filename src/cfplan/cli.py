@@ -29,7 +29,7 @@ from .config import RunConfig, load_run_config
 from .cost import trajectory_cost
 from .inference import featurize, knn_predict
 from .labeling import label_scene_set, load_dataset, scene_surface_cloud
-from .params import param_dim, validate_params
+from .params import agent_count, param_dim, validate_params
 from .planner import execute
 from .plot import save_plan_svg
 from .scene import PlacementFailure, randomize_scene
@@ -51,7 +51,7 @@ def _infer(cloud, workspace, cfg: RunConfig, dataset_path):
     n_agents = cfg.planner.n_agents
     if dataset and dataset[0].p_star.size != param_dim(n_agents):
         raise ValueError(
-            f"{dataset_path}: labels are for {(dataset[0].p_star.size - 1) // 5} agents, "
+            f"{dataset_path}: labels are for {agent_count(dataset[0].p_star.size)} agents, "
             f"the config plans for {n_agents}"
         )
     p = knn_predict(featurize(cloud, workspace), dataset, workspace, k=cfg.knn_k)

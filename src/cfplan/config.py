@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import AgentCostWeights, TrajectoryCostWeights
-from .io import check_json_numbers, json_integer
+from .io import check_json_numbers
 from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig
 from .scene import (
@@ -23,6 +23,7 @@ from .scene import (
     SphereShape,
     WorkspaceBounds,
     default_desk_randomizer,
+    integer,
 )
 
 
@@ -38,6 +39,9 @@ class RunConfig:
     knn_k: int = 3
 
     def __post_init__(self):
+        integer("tuner.n_init", self.n_init)
+        integer("tuner.n_iter", self.n_iter)
+        integer("knn_k", self.knn_k)
         # the limits bo_minimize and knn_predict enforce, checked at load
         if self.n_init < 2 or self.n_iter < 0 or self.knn_k < 1:
             raise ValueError(
@@ -157,9 +161,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         ),
         bounds=_bounds_from_dict(data.get("bounds", {}), planner.n_agents),
         randomizer=_randomizer_from_dict(data.get("randomizer", {})),
-        n_init=json_integer("tuner.n_init", tuner.get("n_init", RunConfig.n_init)),
-        n_iter=json_integer("tuner.n_iter", tuner.get("n_iter", RunConfig.n_iter)),
-        knn_k=json_integer("knn_k", data.get("knn_k", RunConfig.knn_k)),
+        n_init=tuner.get("n_init", RunConfig.n_init),
+        n_iter=tuner.get("n_iter", RunConfig.n_iter),
+        knn_k=data.get("knn_k", RunConfig.knn_k),
     )
 
 

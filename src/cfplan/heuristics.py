@@ -82,9 +82,10 @@ _NEIGHBOUR_W, _FLIP, _COMBINED = range(3)
 
 def _committee_layout(kinds: tuple[HeuristicKind, ...]):
     """What ``batch_currents`` needs to know of a committee's heuristics: the
-    (A, 1) masks of agents whose w is the goal offset without and with
-    nearest-neighbour centers, the (A, 3) switches and the (A,) mask of the
-    random agents, None when there are none."""
+    (A, 1) mask of agents whose w is the goal offset (an obstacle-distance
+    agent's is, until its neighbour switch overwrites it), the (A, 3)
+    switches and the (A,) mask of the random agents, None when there are
+    none."""
     K = HeuristicKind
 
     def agents(*on):
@@ -92,7 +93,7 @@ def _committee_layout(kinds: tuple[HeuristicKind, ...]):
 
     random = agents(K.RANDOM)[:, 0]
     return (
-        (agents(K.GOAL_VECTOR, K.OBSTACLE_DISTANCE), agents(K.GOAL_VECTOR)),
+        agents(K.GOAL_VECTOR, K.OBSTACLE_DISTANCE),
         np.hstack((
             agents(K.OBSTACLE_DISTANCE),
             agents(K.PATH_LENGTH, K.PATH_LENGTH_OBSTACLE_DISTANCE),
@@ -124,8 +125,9 @@ def batch_currents(
     centered at ``nn_centers[k]`` (None when the scene has fewer than two
     obstacles).
 
-    Each pair dispatches on its agent's kind, and every row rounds exactly
-    as a call for that agent alone would.  The pairs of random agents take
+    Each pair dispatches on its agent's kind, and every row rounds alone:
+    it depends only on its own pair and its agent's state, so it is bitwise
+    the row of a call for that agent alone.  The pairs of random agents take
     their raw currents from ``normals``, one row per such pair in pair
     order: standard normals, each agent's from its own stream in row order,
     as one-obstacle calls would draw them one after another.
@@ -145,7 +147,7 @@ def batch_currents(
     # velocity and an obstacle-distance current, so its second vector rides
     # along in extra rows m, m + 1, ...
     to_goal = goal - positions
-    w = np.where(goal_w[nn_centers is not None], to_goal, velocities).take(agent, axis=0)
+    w = np.where(goal_w, to_goal, velocities).take(agent, axis=0)
     if nn_centers is not None:
         neighbour = positions.take(agent, axis=0) - nn_centers
         w = np.where(switches[:, _NEIGHBOUR_W, None], neighbour, w)
@@ -170,34 +172,20 @@ def batch_currents(
             unit.take(path, axis=0),
             velocities.take(owner, axis=0),
             to_goal.take(owner, axis=0),
-            owner,
         )
     if both.size:
         unit[both] = _with_fallback(unit.take(both, axis=0) + unit[m:], dhat.take(both, axis=0))
     return unit[:m]
 
 
-def _flip_toward_goal(c, v, gap, owner):
+def _flip_toward_goal(c, v, gap):
     # keep the velocity-heuristic current, but flip its sign if the opposite
     # rotation produces a force better aligned with the goal direction:
     # score = (c |v|^2 - v (v . c)) . (goal - x), with v and gap = goal - x
-    # given per row.  A one-row matrix product is a BLAS dot, which ``dots``
-    # reproduces for all rows at once; an agent with several rows needs its
-    # own matrix-vector product, which rounds differently.  Rows of one
-    # owner are adjacent, as owners do not decrease.  Flips c in place.
-    several = ()
-    same = owner[1:] == owner[:-1]
-    if same.any():
-        cut = (np.flatnonzero(~same) + 1).tolist()
-        several = [(s, e) for s, e in zip([0, *cut], [*cut, owner.shape[0]]) if e - s > 1]
-    cv = dots(c, v)
-    for s, e in several:
-        cv[s:e] = c[s:e] @ v[s]
-    force = c * dots(v, v)[:, None] - v * cv[:, None]
-    score = dots(force, gap)
-    for s, e in several:
-        score[s:e] = force[s:e] @ gap[s]
-    return np.negative(c, out=c, where=(score < 0.0)[:, None])
+    # given per row.  Each row rounds alone, with the dot products of
+    # ``compute_current`` (``dots``).  Flips c in place.
+    force = c * dots(v, v)[:, None] - v * dots(c, v)[:, None]
+    return np.negative(c, out=c, where=(dots(force, gap) < 0.0)[:, None])
 
 
 def _unit(raw: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ a JSON number field rejects the strings, bools and nulls ``float()`` takes.
 from __future__ import annotations
 
 import json
-import numbers
 from itertools import chain
 from pathlib import Path
 
@@ -49,14 +48,6 @@ def check_json_numbers(name: str, value) -> None:
                 items.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{name} must hold only numbers, got {item!r}")
-
-
-def json_integer(name: str, value) -> int:
-    """``value`` when it is an integer; ValueError for anything else, bools
-    and integral floats included (``int()`` would truncate 8.7 to 8)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -18,14 +18,14 @@ import numpy as np
 
 from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
-from .io import check_json_numbers, json_integer
-from .params import BoundsBox, default_bounds, param_dim
+from .io import check_json_numbers
+from .params import BoundsBox, agent_count, default_bounds
 from .planner import PlannerConfig, PlanResult, execute
 from .scene import (
     PointCloud,
     Scene,
     SceneRandomizerConfig,
-    check_n_points,
+    integer,
     randomize_scene,
     subsample,
 )
@@ -53,7 +53,7 @@ def scene_surface_cloud(
     least ``n_points`` raw samples overall.  One normal draw, filled row by
     row, gives each sphere the directions of one draw per sphere in order.
     """
-    check_n_points(n_points)
+    integer("n_points", n_points, 1)
     if scene.radii.size == 0:
         return PointCloud(np.zeros((0, 3)))
     rng = np.random.default_rng(seed)
@@ -269,11 +269,13 @@ def sample_from_dict(d: dict) -> LabeledSample:
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must be an (n, 3) list")
     p_star, best_cost = np.asarray(d["p_star"], dtype=float), float(d["best_cost"])
+    if p_star.ndim != 1:
+        raise ValueError("p_star must be a flat list")
     for key, value in (("points", points), ("p_star", p_star), ("best_cost", best_cost)):
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must hold only finite numbers")
     return LabeledSample(
-        scene_id=json_integer("scene_id", d["scene_id"]),
+        scene_id=integer("scene_id", d["scene_id"]),
         points=points,
         p_star=p_star,
         best_cost=best_cost,
@@ -301,10 +303,10 @@ def load_dataset(path) -> list[LabeledSample]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
             dim = sample.p_star.size
-            if sample.p_star.ndim != 1 or dim < param_dim(1) or (dim - 1) % 5:
-                raise ValueError(
-                    f"{path}:{line_no}: p_star has {dim} entries, not 5 n + 1 for n >= 1 agents"
-                )
+            try:
+                agent_count(dim)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: p_star has {exc}") from None
             if samples and dim != samples[0].p_star.size:
                 raise ValueError(
                     f"{path}:{line_no}: p_star has {dim} entries, the first "

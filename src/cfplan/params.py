@@ -24,6 +24,15 @@ def param_dim(n_agents: int) -> int:
     return 5 * n_agents + 1
 
 
+def agent_count(dim: int) -> int:
+    """The inverse of ``param_dim``: the n >= 1 of a vector of ``5 n + 1``
+    entries.  ValueError for any other length."""
+    n, rest = divmod(dim - 1, 5)
+    if n < 1 or rest:
+        raise ValueError(f"{dim} entries, not 5 n + 1 for n >= 1 agents")
+    return n
+
+
 def detection_radius(p: np.ndarray) -> float:
     return float(np.asarray(p, dtype=float)[-1])
 

@@ -18,9 +18,12 @@ surface-distance pass, one shell mask whose (agent, obstacle) pairs, their
 offsets and distances taken once, each get a current
 (``heuristics.batch_currents``, dispatching on each pair's heuristic) and a
 repulsive push, and one per-agent sum of both; an agent's ``k_cf`` and
-``k_r`` zero the terms it does not use.  Every agent's result
-is bitwise the one it would get alone: the kernel keeps each rounding step
-of the per-agent computation (see ``cfplan.vec3``).
+``k_r`` zero the terms it does not use, and one without pairs adds zero
+sums.  Each row of the step rounds alone: it depends only on its own inputs
+and its agent's sums, with the rounding of the per-agent computation (see
+``cfplan.vec3``).  So every agent's result is bitwise the one it would get
+alone, but for the sign of a zero force component of an agent without pairs
+among agents with some.
 
 The m obstacles are a Verlet neighbour list, refreshed every
 ``REFRESH_STEPS`` steps from the agents' current rows.  The speed cap bounds
@@ -50,7 +53,6 @@ exception mid-rollout.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,7 +63,7 @@ from .cost import AgentCostWeights, agent_costs, scene_clearances
 from .fields import RHO_MIN, GainSet, manipulability_force
 from .heuristics import HeuristicKind, _committee_layout, agent_heuristic, batch_currents
 from .params import detection_radius, split_params, validate_params
-from .scene import Scene, finite_real
+from .scene import Scene, finite_real, integer
 from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
@@ -94,17 +96,12 @@ class PlannerConfig:
     jacobian: np.ndarray | None = None  # 3 x n arm Jacobian, None disables the pull
 
     def __post_init__(self):
-        for name in ("n_agents", "horizon", "replan_every", "max_steps", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_agents < 1 or self.horizon < 1 or self.replan_every < 1:
-            raise ValueError("n_agents, horizon and replan_every must be >= 1")
+        for name, low in (("n_agents", 1), ("horizon", 1), ("replan_every", 1), ("max_steps", 0)):
+            integer(name, getattr(self, name), low)
+        integer("master_seed", self.master_seed)
         for name in ("dt", "mass", "v_max", "goal_tolerance"):
             if finite_real(name, getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
         if self.jacobian is not None:
             j = np.asarray(self.jacobian, dtype=float)
             if j.ndim != 2 or j.shape[0] != 3:
@@ -263,17 +260,6 @@ class RandomRows:
         return read
 
 
-def _agent_sums(n_agents: int, agent: np.ndarray, rows: np.ndarray):
-    """Per-agent sums of ``rows``, each starting from zero and adding its
-    rows in order as ``rows.sum(axis=0)`` does, and an (A, 1) mask of the
-    agents that had any row."""
-    total = np.zeros((n_agents, rows.shape[1]))
-    np.add.at(total, agent, rows)
-    has = np.zeros((n_agents, 1), dtype=bool)
-    has[agent] = True
-    return total, has
-
-
 def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pull):
     """Steering force on every agent of the committee, (A, 3).
 
@@ -300,9 +286,13 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pul
         rho = np.maximum(surf.take(idx), RHO_MIN)
         mag = com.k_r.take(agent) * (1.0 / rho - com.inv_r_d) / rho**2
         push = (off / np.maximum(d, 1e-12)[:, None]) * mag[:, None]
-        # one sum over [current | push] columns; each column adds alone
-        sums, has = _agent_sums(n_agents, agent, np.concatenate((currents, push), axis=1))
-        f = np.where(has, f + _circling(v, sums[:, :3], com) + sums[:, 3:], f)
+        # one per-agent sum over [current | push] columns: each column starts
+        # from zero and adds its rows in order, as rows.sum(axis=0) does.  An
+        # agent without pairs adds zero sums, as steering_force adds the zero
+        # terms of obstacles outside the shell
+        sums = np.zeros((n_agents, 6))
+        np.add.at(sums, agent, np.concatenate((currents, push), axis=1))
+        f = f + _circling(v, sums[:, :3], com) + sums[:, 3:]
     if manip_pull is not None:
         f = f + com.k_manip * manip_pull
     return f

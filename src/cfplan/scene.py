@@ -56,6 +56,17 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int when it is an integer of at least ``low``;
+    ValueError for anything else, bools and integral floats included
+    (``int()`` would truncate 8.7 to 8)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
 def voxel_edge(voxel_radius: float) -> float:
     """Lattice edge length for which a sphere of ``voxel_radius`` circumscribes a cell."""
     if voxel_radius <= 0.0:
@@ -448,13 +459,6 @@ def depth_to_cloud(image: DepthImage) -> PointCloud:
     return PointCloud(base)
 
 
-def check_n_points(n_points) -> None:
-    """Raise ValueError unless ``n_points`` is a positive integer; bools and
-    integral floats are rejected too."""
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points <= 0:
-        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
-
-
 def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
     """Farthest-point subsample down to ``n_points``.
 
@@ -477,7 +481,7 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
       updates the rest.  Its tree has leaves of ``FPS_LEAF`` points, since
       the query's cost is the tree walk, not the lists it returns.
     """
-    check_n_points(n_points)
+    integer("n_points", n_points, 1)
     pts = cloud.points
     n = pts.shape[0]
     if n <= n_points:
@@ -640,10 +644,8 @@ class SceneRandomizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "start", as_vec3(self.start))
         object.__setattr__(self, "fixed_shapes", tuple(self.fixed_shapes))
-        for name in ("min_count", "max_count", "max_rejections"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("min_count", 1), ("max_count", 1), ("max_rejections", 0)):
+            integer(name, getattr(self, name), low)
         for name in (
             "sphere_radius_range",
             "cuboid_half_range",
@@ -653,10 +655,15 @@ class SceneRandomizerConfig:
             pair = getattr(self, name)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValueError(f"{name} must be a pair of numbers, got {pair!r}")
-            object.__setattr__(self, name, tuple(finite_real(name, v) for v in pair))
-        for name in ("min_clearance", "voxel_radius"):
-            finite_real(name, getattr(self, name))
-        if not (0 < self.min_count <= self.max_count):
+            low, high = (finite_real(name, v) for v in pair)
+            if not 0.0 < low <= high:
+                raise ValueError(f"{name} must hold 0 < low <= high, got {pair!r}")
+            object.__setattr__(self, name, (low, high))
+        if finite_real("min_clearance", self.min_clearance) < 0.0:
+            raise ValueError(f"min_clearance must be non-negative, got {self.min_clearance!r}")
+        if finite_real("voxel_radius", self.voxel_radius) <= 0.0:
+            raise ValueError(f"voxel_radius must be positive, got {self.voxel_radius!r}")
+        if self.min_count > self.max_count:
             raise ValueError("need 0 < min_count <= max_count")
 
 

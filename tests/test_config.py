@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,33 @@ class TestRejection:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="n_init >= 2, tuner.n_iter >= 0 and knn_k >= 1"):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sphere_radius_range", [0.1, -0.2]),
+            ("cuboid_half_range", [0.1, -0.2]),
+            ("cylinder_radius_range", [0.07, 0.03]),
+            ("cylinder_half_length_range", [0.0, 0.1]),
+            ("voxel_radius", 0),
+            ("voxel_radius", -0.05),
+            ("max_rejections", -5),
+            ("min_clearance", -1.0),
+        ],
+    )
+    def test_randomizer_faults_fail_at_load(self, key, value):
+        # each loaded before, and failed later (a reversed range or a zero
+        # voxel radius at the first scene) or ran with a meaningless setting
+        with pytest.raises(ValueError, match=key):
+            run_config_from_dict({"randomizer": {key: value}})
+
+    @pytest.mark.parametrize(
+        "key, value", [("knn_k", True), ("knn_k", 2.5), ("n_init", 3.0), ("n_iter", "0")]
+    )
+    def test_run_config_checks_its_integers(self, key, value):
+        # built directly, without the JSON loader
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            dataclasses.replace(default_run_config(), **{key: value})
 
     def test_run_integer_limits_are_legal(self):
         cfg = run_config_from_dict({"knn_k": 1, "tuner": {"n_init": 2, "n_iter": 0}})

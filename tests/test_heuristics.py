@@ -434,41 +434,44 @@ class TestMixedCommittee:
             assert np.allclose(got[1][k], want, rtol=0.0, atol=1e-12)
 
 
-def flip_reference(c, v, gap, owner):
-    """``_flip_toward_goal`` one owner at a time: a matrix-vector product for
-    an owner with several rows, a dot product for one with a single row."""
-    out = np.empty_like(c)
-    for a in dict.fromkeys(owner.tolist()):
-        rows = np.flatnonzero(owner == a)
-        cv = c[rows] @ v[rows[0]] if rows.size > 1 else np.array([c[rows[0]] @ v[rows[0]]])
-        force = c[rows] * float(v[rows[0]] @ v[rows[0]]) - v[rows] * cv[:, None]
-        if rows.size > 1:
-            score = force @ gap[rows[0]]
-        else:
-            score = np.array([force[0] @ gap[rows[0]]])
-        out[rows] = np.where(score[:, None] < 0.0, -c[rows], c[rows])
-    return out
-
-
-def test_several_rows_flip_by_their_own_products():
-    # goal offsets almost normal to one row's force put its score within
-    # roundoff of zero, where a matrix-vector product and per-row dot
-    # products can disagree on the sign
+def test_each_row_flips_by_its_own_products():
+    # a velocity in the plane of one row's d and goal offset makes that
+    # row's current, and so its force, almost normal to the goal offset:
+    # its score lies within roundoff of zero, where a matrix-vector product
+    # over an agent's rows and per-row dot products can disagree on the
+    # sign.  Every row takes compute_current's path-length decision, and
+    # splitting an agent's rows among agents of its state changes no byte
     rng = np.random.default_rng(5)
-    owner = np.array([0, 0, 0, 1, 2, 2])
-    disagreements = 0
+    groupings = (np.array([0, 0, 0, 1, 2, 2]), np.array([0, 0, 1, 2, 3, 3]), np.arange(6))
+    owner = groupings[0]
+    near_zero = 0
     for _ in range(200):
-        c = rng.standard_normal((6, 3))
-        c /= norms(c)[:, None]
-        v = np.repeat(rng.standard_normal((3, 3)), [3, 1, 2], axis=0)
-        gap = np.empty_like(v)
-        for a, rows in ((0, [0, 1, 2]), (1, [3]), (2, [4, 5])):
-            row = rows[rng.integers(len(rows))]
-            force = c[row] * float(v[row] @ v[row]) - v[row] * float(v[row] @ c[row])
-            gap[rows] = np.cross(force, rng.standard_normal(3))
-        want = flip_reference(c, v, gap, owner)
-        assert _flip_toward_goal(c.copy(), v, gap, owner).tobytes() == want.tobytes()
-        rowwise = flip_reference(c, v, gap, np.arange(6))
-        assert _flip_toward_goal(c.copy(), v, gap, np.arange(6)).tobytes() == rowwise.tobytes()
-        disagreements += rowwise.tobytes() != want.tobytes()
-    assert disagreements > 0
+        x = rng.uniform(-1.0, 1.0, (3, 3))
+        centers = x.take(owner, axis=0) + rng.uniform(-0.3, 0.3, (6, 3))
+        v = np.empty((3, 3))
+        for a in range(3):
+            row = rng.choice((owner == a).nonzero()[0])
+            v[a] = rng.standard_normal(2) @ (centers[row] - x[a], GOAL - x[a])
+        xs, vs = x.take(owner, axis=0), v.take(owner, axis=0)
+        c = np.stack([current_for(K.VELOCITY, *row) for row in zip(xs, vs, centers)])
+        want = np.stack([current_for(K.PATH_LENGTH, *row) for row in zip(xs, vs, centers)])
+        gap = GOAL - xs
+        vv, vc = (np.einsum("ij,ij->i", vs, b)[:, None] for b in (vs, c))
+        force = c * vv - vs * vc
+        near_zero += np.count_nonzero(np.abs(np.einsum("ij,ij->i", force, gap)) < 1e-14)
+        assert _flip_toward_goal(c.copy(), vs, gap).tobytes() == want.tobytes()
+        # batch_currents rounds its unit currents apart from compute_current;
+        # its flips are those of its own velocity-heuristic rows
+        outputs = set()
+        for agent in groupings:
+            first = np.searchsorted(agent, np.arange(agent[-1] + 1))
+            args = (agent, xs[first], vs[first], xs - centers, norms(xs - centers), GOAL, None,
+                    np.zeros((0, 3)))
+            unflipped, got = (
+                batch_currents(_committee_layout((kind,) * first.size), *args)
+                for kind in (K.VELOCITY, K.PATH_LENGTH)
+            )
+            assert got.tobytes() == _flip_toward_goal(unflipped, vs, gap).tobytes()
+            outputs.add(got.tobytes())
+        assert len(outputs) == 1
+    assert near_zero > 0

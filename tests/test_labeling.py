@@ -240,7 +240,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path)
 
-    @pytest.mark.parametrize("length", [0, 5, 35, 37])
+    @pytest.mark.parametrize("length", [0, 1, 5, 35, 37])
     def test_load_rejects_bad_p_star_length(self, tmp_path, length):
         path = tmp_path / "bad.jsonl"
         good = sample_to_dict(self.sample())
@@ -265,6 +265,7 @@ class TestSerialization:
             ("scene_id", True, "scene_id must be an integer"),
             ("best_cost", "1.25", "best_cost must hold only numbers"),
             ("p_star", ["1.0"] * 36, "p_star must hold only numbers"),
+            ("p_star", [[1.0] * 36], "p_star must be a flat list"),
             ("points", [[0.0, 1.0, "2.0"]], "points must hold only numbers"),
             ("points", [[0.0, False, 2.0]], "points must hold only numbers"),
         ],

@@ -11,6 +11,7 @@ from cfplan.fields import GainSet
 from cfplan.params import (
     GAIN_NAMES,
     BoundsBox,
+    agent_count,
     agent_gains,
     default_bounds,
     detection_radius,
@@ -26,6 +27,10 @@ class TestLayout:
     def test_dim(self):
         assert param_dim(7) == 36
         assert param_dim(1) == 6
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_agent_count_inverts_param_dim(self, n):
+        assert agent_count(param_dim(n)) == n
 
     def test_block_by_gain_order(self):
         p = np.arange(param_dim(3), dtype=float)

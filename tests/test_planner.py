@@ -419,6 +419,35 @@ class TestLockstep:
             assert pos[k].tobytes() == solo.positions.tobytes()
             assert clr[k].tobytes() == solo.clearances.tobytes()
 
+    def test_agent_without_pairs_adds_zero_sums(self):
+        # agent 3 sits far outside every shell while the others circle and
+        # repel: its force is its attraction and damping plus exact zeros,
+        # as steering_force adds the zero terms of obstacles outside the
+        # shell.  With k_p = 0 and no z velocity that turns a -0.0 into 0.0
+        scene = clutter_scene()
+        p = LOCKSTEP_P.copy()
+        p[3] = 0.0
+        com = Committee.of(p, CFG_JAC)
+        x, v = spread_states(7, scene.start, seed=3)
+        x[3], v[3] = (0.9, -0.9, 0.9), (0.2, -0.1, 0.0)
+        offsets = x[:, None, :] - scene.centers
+        dist = norms(offsets)
+        surf = dist - scene.radii
+        pairs = (surf <= detection_radius(p)).sum(axis=1)
+        assert pairs[3] == 0 and np.all(np.delete(pairs, 3) > 0)
+        force = planner._forces(
+            x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
+            com, RandomRows(com).reader(), None,
+        )
+        attract = com.k_p[3] * (scene.goal - x[3]) - com.k_v[3] * v[3]
+        assert np.signbit(attract[2])
+        assert force[3].tobytes() == (attract + 0.0 + 0.0).tobytes()
+        oracle = steering_force(
+            AgentKinematics(x[3], v[3]), scene.goal, scene.obstacles,
+            [np.zeros(3)] * len(scene.obstacles), agent_gains(p, 3, 7), detection_radius(p),
+        )
+        assert force[3].tobytes() == oracle.tobytes()
+
     @pytest.mark.parametrize("which", ["obstruction", "clutter"])
     def test_forces_match_scalar_oracle(self, which):
         assert_forces_match_scalar_oracle(which, LOCKSTEP_P)

@@ -760,5 +760,5 @@ class TestValidation:
             dataclasses.replace(cfg, **{key: value})
 
     def test_randomizer_ranges_become_float_pairs(self):
-        cfg = dataclasses.replace(default_desk_randomizer(), sphere_radius_range=[0, 1])
-        assert cfg.sphere_radius_range == (0.0, 1.0)
+        cfg = dataclasses.replace(default_desk_randomizer(), sphere_radius_range=[1, 2])
+        assert cfg.sphere_radius_range == (1.0, 2.0)
