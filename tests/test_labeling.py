@@ -265,9 +265,9 @@ class TestSerialization:
             ("scene_id", True, "scene_id must be an integer"),
             ("best_cost", "1.25", "best_cost must hold only numbers"),
             ("p_star", ["1.0"] * 36, "p_star must hold only numbers"),
-            ("p_star", [[1.0] * 36], "p_star must be a flat list"),
             ("points", [[0.0, 1.0, "2.0"]], "points must hold only numbers"),
             ("points", [[0.0, False, 2.0]], "points must hold only numbers"),
+            ("p_star", [[1.0] * 36], "p_star must be a flat list"),
         ],
     )
     def test_load_rejects_non_numbers(self, tmp_path, key, value, message):
