@@ -65,9 +65,10 @@ def cmd_gen_scenes(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
+    width = len(str(args.count - 1))  # zero-padded, so that names sort in the order drawn
     for i in range(args.count):
         scene = randomize_scene(cfg.randomizer, args.seed + i)
-        path = out_dir / f"scene_{args.seed}_{i}.json"
+        path = out_dir / f"scene_{args.seed}_{i:0{width}d}.json"
         io.save_scene(scene, path)
         files.append(path.name)
         _note(f"wrote {path} ({scene.radii.size} spheres)")
@@ -116,7 +117,9 @@ def cmd_plan(args) -> int:
     cfg = _load_config(args)
     scene = io.load_scene(args.scene)
     if args.params is not None:
-        p = validate_params(io.load_params(args.params), cfg.planner.n_agents)
+        p = io.load_params(args.params)
+        with io.naming(args.params):
+            p = validate_params(p, cfg.planner.n_agents)
     else:
         p = _infer(scene_surface_cloud(scene, seed=0), scene.workspace, cfg, args.infer)
     result = execute(scene, p, cfg.planner, cfg.agent_weights)

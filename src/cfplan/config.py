@@ -10,10 +10,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .cost import AgentCostWeights, TrajectoryCostWeights
-from .io import check_json_numbers
+from .io import check_json_numbers, naming
 from .params import BoundsBox, default_bounds, param_dim
 from .planner import PlannerConfig
 from .scene import (
@@ -53,6 +51,8 @@ class RunConfig:
                 f"bounds hold {self.bounds.dim} entries, but {self.planner.n_agents} "
                 f"agents need {param_dim(self.planner.n_agents)}"
             )
+        if self.bounds.low.min() < 0.0:  # validate_params refuses every such draw
+            raise ValueError(f"bounds must not reach below 0, got low {self.bounds.low.min()!r}")
 
 
 def default_run_config() -> RunConfig:
@@ -77,21 +77,14 @@ def _merge_dataclass(section: str, default, data: dict):
     return dataclasses.replace(default, **data)
 
 
-def _planner_from_dict(data: dict) -> PlannerConfig:
-    data = dict(data)
-    if data.get("jacobian") is not None:
-        check_json_numbers("planner.jacobian", data["jacobian"])
-        data["jacobian"] = np.asarray(data["jacobian"], dtype=float)
-    return _merge_dataclass("planner", PlannerConfig(), data)
-
-
 def _bounds_from_dict(data: dict, n_agents: int) -> BoundsBox:
     check_json_numbers("bounds", data)
-    if "low" in data or "high" in data:
-        _check_keys("bounds", data, ("low", "high"))
-        return BoundsBox(data["low"], data["high"])
-    _check_keys("bounds", data, ("gain_high", "r_d_range"))
-    return default_bounds(n_agents, **data)
+    explicit = "low" in data or "high" in data
+    _check_keys("bounds", data, ("low", "high") if explicit else ("gain_high", "r_d_range"))
+    with naming("bounds"):
+        if explicit:
+            return BoundsBox(data["low"], data["high"])
+        return default_bounds(n_agents, **data)
 
 
 #: constructor and its arguments, in order, for each fixed shape kind
@@ -146,7 +139,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
             "knn_k",
         ),
     )
-    planner = _planner_from_dict(data.get("planner", {}))
+    planner = _merge_dataclass("planner", PlannerConfig(), data.get("planner", {}))
     tuner = dict(data.get("tuner", {}))
     _check_keys("tuner", tuner, ("n_init", "n_iter"))
     return RunConfig(
@@ -170,10 +163,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return default_run_config()
-    try:
+    with naming(path):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config root must be a JSON object")
-    return run_config_from_dict(data)
+        if not isinstance(data, dict):
+            raise ValueError("config root must be a JSON object")
+        return run_config_from_dict(data)

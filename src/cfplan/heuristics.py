@@ -191,7 +191,7 @@ def _flip_toward_goal(c, v, gap):
 def _unit(raw: np.ndarray, d: np.ndarray) -> np.ndarray:
     # normalize raw; below _EPS fall back to d x e_z, then to d x e_x
     for vec in (raw, np.cross(d, _EZ), np.cross(d, _EX)):
-        n = float(np.linalg.norm(vec))
+        n = float(norms(vec))
         if n > _EPS:
             return vec / n
     return vec
@@ -217,7 +217,7 @@ def compute_current(
     if kind is HeuristicKind.RANDOM and rng is None:
         raise ValueError("random heuristics need an rng")
     d = obstacle.center - x
-    n = float(np.linalg.norm(d))
+    n = float(norms(d))
     if n > _EPS:
         d = d / n
 

@@ -10,44 +10,44 @@
 - trajectory: CSV with a ``t,x,y,z,clearance`` header row
 - parameters: JSON array of floats
 
-Loaders validate and raise ValueError with the offending path in the message;
-a JSON number field rejects the strings, bools and nulls ``float()`` takes.
+Loading rule: a loader reads every number array through ``json_array``
+(from ``cfplan.scene``), which checks that each leaf is a number, rejecting
+the strings, bools and nulls ``float()`` takes, then the shape and that every
+entry is finite; and it reads inside ``naming``, so that any KeyError,
+TypeError, ValueError or OverflowError becomes a ValueError whose message
+starts with the file's path (``path:line`` for a dataset record).  Scene
+files check their obstacles as whole arrays in ``scene_from_dict`` instead.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .planner import Trajectory
-from .scene import DepthImage, PointCloud, Scene, WorkspaceBounds, validate_scene
+from .scene import (
+    DepthImage,
+    PointCloud,
+    Scene,
+    WorkspaceBounds,
+    check_json_numbers,
+    json_array,
+    validate_scene,
+)
 
 
-def check_json_numbers(name: str, value) -> None:
-    """Raise ValueError unless every leaf of ``value``, through nested lists
-    and objects, is a number."""
-    items = [value]
-    while items:
-        item = items.pop()
-        if isinstance(item, dict):
-            items.extend(item.values())
-        elif isinstance(item, list):
-            types = set(map(type, item))
-            if types <= {int, float}:  # all plain numbers
-                continue
-            if types == {dict}:  # objects, such as obstacles: check their values at once
-                items.append(list(chain.from_iterable(map(dict.values, item))))
-            elif types == {list}:  # rows, such as a point cloud's: check their entries at once
-                items.append(list(chain.from_iterable(item)))
-            elif types <= {int, float, list}:  # numbers and rows: check the rows' entries at once
-                items.append(list(chain.from_iterable(x for x in item if type(x) is list)))
-            else:
-                items.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{name} must hold only numbers, got {item!r}")
+@contextmanager
+def naming(where):
+    """Re-raise any KeyError, TypeError, ValueError or OverflowError of the
+    block as a ValueError whose message starts with ``where``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{where}: {detail}") from exc
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -120,61 +120,48 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return scene_from_dict(data)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with naming(path):
+        return scene_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _write_rows(path, header: str, rows) -> None:
+    """A CSV of ``header`` and one line per row, each float as its repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _read_rows(path, header: str) -> np.ndarray:
+    """The rows of a ``_write_rows`` CSV as a finite (n, columns) array."""
+    names = header.split(",")
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if [c.strip() for c in first.split(",")] != names:
+            raise ValueError(f"expected the header {header!r}, got {first!r}")
+        rows = [[float(c) for c in line.split(",")] for line in fh if line.strip()]
+    return json_array("rows", rows or np.zeros((0, len(names))), (-1, len(names)))
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,z\n")
-        for x, y, z in cloud.points.tolist():
-            fh.write(f"{x!r},{y!r},{z!r}\n")
+    _write_rows(path, "x,y,z", cloud.points.tolist())
 
 
 def load_cloud_csv(path) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["x", "y", "z"]:
-            raise ValueError(f"{path}: expected an 'x,y,z' header, got {header!r}")
-        try:
-            rows = [
-                [float(c) for c in line.strip().split(",")]
-                for line in fh
-                if line.strip()
-            ]
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad point row: {exc}") from exc
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"{path}: point rows must have three columns")
-    return PointCloud(np.array(rows, dtype=float).reshape(-1, 3))
+    with naming(path):
+        return PointCloud(_read_rows(path, "x,y,z"))
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,y,z,clearance\n")
-        rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.clearances.tolist())
-        for t, (x, y, z), c in rows:
-            fh.write(f"{t!r},{x!r},{y!r},{z!r},{c!r}\n")
+    rows = np.column_stack((traj.times, traj.positions, traj.clearances))
+    _write_rows(path, "t,x,y,z,clearance", rows.tolist())
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["t", "x", "y", "z", "clearance"]:
-            raise ValueError(f"{path}: expected a 't,x,y,z,clearance' header")
-        try:
-            rows = np.array(
-                [[float(c) for c in line.split(",")] for line in fh if line.strip()]
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad trajectory row: {exc}") from exc
-    if rows.size == 0 or rows.shape[1] != 5:
-        raise ValueError(f"{path}: trajectory rows must have five columns")
-    return Trajectory(times=rows[:, 0], positions=rows[:, 1:4], clearances=rows[:, 4])
+    with naming(path):
+        rows = _read_rows(path, "t,x,y,z,clearance")
+        if not rows.size:
+            raise ValueError("a trajectory needs at least one row")
+        return Trajectory(times=rows[:, 0], positions=rows[:, 1:4], clearances=rows[:, 4])
 
 
 def save_params(p: np.ndarray, path) -> None:
@@ -184,15 +171,8 @@ def save_params(p: np.ndarray, path) -> None:
 
 
 def load_params(path) -> np.ndarray:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        check_json_numbers("parameters", data)
-    except ValueError as exc:  # json.JSONDecodeError included
-        raise ValueError(f"{path}: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{path}: parameters must be a flat JSON array")
-    return arr
+    with naming(path):
+        return json_array("parameters", json.loads(Path(path).read_text(encoding="utf-8")), (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +224,7 @@ def _read_pgm_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 def load_depth_image(pgm_path, sidecar_path=None) -> DepthImage:
     path = Path(pgm_path)
     blob = path.read_bytes()
-    try:
+    with naming(path):
         (magic, w, h, maxval), offset = _read_pgm_tokens(blob, 4)
         if magic != b"P5":
             raise ValueError(f"expected a P5 PGM, got magic {magic!r}")
@@ -255,21 +235,12 @@ def load_depth_image(pgm_path, sidecar_path=None) -> DepthImage:
         if len(raw) != 2 * width * height:
             raise ValueError("pixel payload shorter than width*height")
         mm = np.frombuffer(raw, dtype="<u2").reshape(height, width)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     sidecar_file = Path(sidecar_path) if sidecar_path is not None else _sidecar_path(path)
-    try:
+    with naming(f"{sidecar_file}: bad depth sidecar"):
         meta = json.loads(sidecar_file.read_text(encoding="utf-8"))
-        for key in ("fx", "fy", "cx", "cy", "rotation", "translation"):
-            check_json_numbers(key, meta[key])
         return DepthImage(
-            depths=mm.astype(float) / 1000.0,
-            fx=float(meta["fx"]),
-            fy=float(meta["fy"]),
-            cx=float(meta["cx"]),
-            cy=float(meta["cy"]),
-            rotation=np.asarray(meta["rotation"], dtype=float),
-            translation=np.asarray(meta["translation"], dtype=float),
+            mm.astype(float) / 1000.0,
+            *(float(json_array(k, meta[k], ())) for k in ("fx", "fy", "cx", "cy")),
+            rotation=json_array("rotation", meta["rotation"], (3, 3)),
+            translation=json_array("translation", meta["translation"], (3,)),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError included
-        raise ValueError(f"{sidecar_file}: bad depth sidecar: {exc}") from exc

@@ -18,14 +18,15 @@ import numpy as np
 
 from .bo import BoResult, bo_minimize
 from .cost import AgentCostWeights, TrajectoryCostWeights, trajectory_cost
-from .io import check_json_numbers
-from .params import BoundsBox, agent_count, default_bounds
+from .io import naming
+from .params import BoundsBox, agent_count, default_bounds, validate_params
 from .planner import PlannerConfig, PlanResult, execute
 from .scene import (
     PointCloud,
     Scene,
     SceneRandomizerConfig,
     integer,
+    json_array,
     randomize_scene,
     subsample,
 )
@@ -174,12 +175,13 @@ def label_scene_set(
     give each scene's stored id and tuner seed; a length mismatch among the
     three raises ValueError before any tuning.
 
-    Scenes are independent, so the loop is embarrassingly parallel; this
-    implementation keeps it sequential for determinism.  ``on_scene`` is an
-    optional callback (index, n_scenes, scene_id, stored) for progress
-    reporting.  Each ``per_scene`` row says whether the tuned plan reached
-    the goal and, in ``reason``, why it was not stored (None when it was;
-    see ``rejection``)."""
+    Each scene's result depends only on its own inputs (scene, id, seed
+    and the shared settings), so an ordered pool of workers would write the
+    same file as this sequential loop.  ``on_scene`` is an optional
+    callback (index, n_scenes, scene_id, stored) for progress reporting.
+    Each ``per_scene`` row says whether the tuned plan reached the goal
+    and, in ``reason``, why it was not stored (None when it was; see
+    ``rejection``)."""
     scenes, scene_ids, seeds = list(scenes), list(scene_ids), list(seeds)
     if not len(scenes) == len(scene_ids) == len(seeds):
         raise ValueError(
@@ -263,22 +265,11 @@ def sample_to_dict(sample: LabeledSample) -> dict:
 
 
 def sample_from_dict(d: dict) -> LabeledSample:
-    for key in ("points", "p_star", "best_cost"):
-        check_json_numbers(key, d[key])
-    points = np.asarray(d["points"], dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must be an (n, 3) list")
-    p_star, best_cost = np.asarray(d["p_star"], dtype=float), float(d["best_cost"])
-    if p_star.ndim != 1:
-        raise ValueError("p_star must be a flat list")
-    for key, value in (("points", points), ("p_star", p_star), ("best_cost", best_cost)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{key} must hold only finite numbers")
     return LabeledSample(
+        points=json_array("points", d["points"], (-1, 3)),
+        p_star=json_array("p_star", d["p_star"], (-1,)),
+        best_cost=float(json_array("best_cost", d["best_cost"], ())),
         scene_id=integer("scene_id", d["scene_id"]),
-        points=points,
-        p_star=p_star,
-        best_cost=best_cost,
     )
 
 
@@ -291,26 +282,20 @@ def write_dataset(samples, path) -> None:
 def load_dataset(path) -> list[LabeledSample]:
     """Read a JSONL dataset.  Raises ValueError naming ``path:line`` for a
     malformed record, a ``p_star`` whose length is not ``5 n + 1`` for some
-    n >= 1 agents, or one whose length differs from the first record's."""
+    n >= 1 agents or differs from the first record's, or one that
+    ``validate_params`` refuses."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
+            with naming(f"{path}:{line_no}: bad dataset record"):
                 sample = sample_from_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
-            dim = sample.p_star.size
-            try:
-                agent_count(dim)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: p_star has {exc}") from None
-            if samples and dim != samples[0].p_star.size:
-                raise ValueError(
-                    f"{path}:{line_no}: p_star has {dim} entries, the first "
-                    f"{samples[0].p_star.size}"
-                )
+            with naming(f"{path}:{line_no}: p_star"):
+                dim = sample.p_star.size
+                n_agents = agent_count(dim)
+                if samples and dim != samples[0].p_star.size:
+                    raise ValueError(f"{dim} entries, the first {samples[0].p_star.size}")
+                validate_params(sample.p_star, n_agents)
             samples.append(sample)
     return samples

@@ -63,7 +63,7 @@ from .cost import AgentCostWeights, agent_costs, scene_clearances
 from .fields import RHO_MIN, GainSet, manipulability_force
 from .heuristics import HeuristicKind, _committee_layout, agent_heuristic, batch_currents
 from .params import detection_radius, split_params, validate_params
-from .scene import Scene, finite_real, integer
+from .scene import Scene, finite_real, integer, json_array
 from .vec3 import dots, norms
 
 #: per-sample clearance recorded when the scene has no obstacles
@@ -103,12 +103,7 @@ class PlannerConfig:
             if finite_real(name, getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.jacobian is not None:
-            j = np.asarray(self.jacobian, dtype=float)
-            if j.ndim != 2 or j.shape[0] != 3:
-                raise ValueError("jacobian must have shape (3, n)")
-            if not np.isfinite(j).all():
-                raise ValueError("jacobian must be finite")
-            object.__setattr__(self, "jacobian", j)
+            object.__setattr__(self, "jacobian", json_array("jacobian", self.jacobian, (3, -1)))
 
     @cached_property
     def manip_direction(self) -> np.ndarray | None:

@@ -50,10 +50,57 @@ def as_vec3(value) -> Vec3:
 
 def finite_real(name: str, value) -> float:
     """``value`` as a float when it is a finite real number; ValueError for
-    anything else, bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    anything else, bools and integers too large for a float included."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_json_numbers(name: str, value) -> None:
+    """Raise ValueError unless every leaf of ``value``, through nested lists
+    and objects, is a number."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, dict):
+            items.extend(item.values())
+        elif isinstance(item, list):
+            types = set(map(type, item))
+            if types <= {int, float}:  # all plain numbers
+                continue
+            if types == {dict}:  # objects, such as obstacles: check their values at once
+                items.append(list(chain.from_iterable(map(dict.values, item))))
+            elif types == {list}:  # rows, such as a point cloud's: check their entries at once
+                items.append(list(chain.from_iterable(item)))
+            elif types <= {int, float, list}:  # numbers and rows: check the rows' entries at once
+                items.append(list(chain.from_iterable(x for x in item if type(x) is list)))
+            else:
+                items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} must hold only numbers, got {item!r}")
+
+
+def json_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``, where -1 stands for any
+    length: every leaf a number (``check_json_numbers``; an ndarray is taken
+    as numbers), nested lists of equal length, every entry finite.  Anything
+    else, ragged lists and integers too large for a float included, raises a
+    ValueError that names ``name``."""
+    if not isinstance(value, np.ndarray):
+        check_json_numbers(name, value)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} does not convert to a float array: {exc}") from None
+    if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
+        want = str(shape).replace("-1", "n")
+        raise ValueError(f"{name} must be a float array of shape {want}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must hold only finite numbers")
+    return arr
 
 
 def integer(name: str, value, low: int | None = None) -> int:

@@ -110,6 +110,18 @@ class TestGenScenes:
             scene = io.load_scene(out / name)
             assert scene.obstacles
 
+    def test_names_sort_in_the_order_drawn(self, tmp_path, capsys, cheap_config):
+        # label visits a directory's scenes in sorted order and gives the
+        # i-th stored id i and tuner seed --seed + i
+        out = tmp_path / "scenes"
+        code, stdout, _ = run_cli(
+            capsys, "gen-scenes", "--count", "12", "--out", str(out), "--config", cheap_config,
+        )
+        assert code == 0
+        files = json.loads(stdout)["files"]
+        assert files[0] == "scene_0_00.json" and files[-1] == "scene_0_11.json"
+        assert sorted(path.name for path in out.glob("*.json")) == files
+
     def test_deterministic(self, tmp_path, capsys, cheap_config):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -558,6 +570,98 @@ class TestInfer:
         )
         assert code == 2
         assert "error:" in stderr
+
+
+#: a JSON integer beyond the range of a float
+BIG = 10**400
+
+
+def edit_record(**fields):
+    return lambda text: json.dumps(dict(json.loads(text.splitlines()[0]), **fields)) + "\n"
+
+
+def edit_config(**sections):
+    def edit(text):
+        config = json.loads(text)
+        for section, values in sections.items():
+            config.setdefault(section, {}).update(values)
+        return json.dumps(config)
+
+    return edit
+
+
+def edit_obstacle(**fields):
+    def edit(text):
+        scene = json.loads(text)
+        scene["obstacles"][0].update(fields)
+        return json.dumps(scene)
+
+    return edit
+
+
+class TestMalformedFiles:
+    """A malformed input file is a usage error whose message starts with
+    the file's path: exit 2, never a traceback or the exit code of a plan
+    that did not reach the goal."""
+
+    COMMANDS = {
+        "plan": ("plan", "--scene", "scene.json", "--params", "p.json", "--config", "run.json"),
+        "plan-infer": ("plan", "--scene", "scene.json", "--infer", "d.jsonl", "--config", "run.json"),
+        "infer": ("infer", "--cloud", "cloud.csv", "--dataset", "d.jsonl", "--config", "run.json"),
+        "gen-scenes": ("gen-scenes", "--count", "1", "--out", "scenes", "--config", "run.json"),
+    }
+
+    @staticmethod
+    def write_inputs(tmp_path) -> None:
+        scene = easy_scene()
+        io.save_scene(scene, tmp_path / "scene.json")
+        io.save_params(untuned_baseline(), tmp_path / "p.json")
+        cloud = scene_surface_cloud(scene, n_points=50)
+        write_dataset([LabeledSample(0, cloud.points, untuned_baseline(), 1.0)], tmp_path / "d.jsonl")
+        io.save_cloud_csv(cloud, tmp_path / "cloud.csv")
+        planner = {"horizon": 10, "replan_every": 10, "max_steps": 150}
+        (tmp_path / "run.json").write_text(json.dumps({"planner": planner}))
+
+    @pytest.mark.parametrize(
+        "name, edit, command, message",
+        [
+            ("p.json", lambda text: f"[{BIG}]", "plan", "parameters does not convert"),
+            ("p.json", lambda text: "[1, [2, 3]]", "plan", "parameters does not convert"),
+            ("p.json", lambda text: "[1.0, 2.0]", "plan", "expected 36 parameters, got 2"),
+            ("d.jsonl", edit_record(best_cost=BIG), "plan-infer",
+             ":1: bad dataset record: best_cost does not convert"),
+            ("d.jsonl", edit_record(p_star=[-5.0] * 36), "plan-infer",
+             ":1: p_star: gains must be non-negative"),
+            ("run.json", edit_config(planner={"dt": BIG}), "plan", "dt must be a finite real"),
+            ("run.json", edit_config(planner={"dt": BIG}), "gen-scenes", "dt must be a finite real"),
+            ("run.json", edit_config(bounds={"gain_high": BIG}), "gen-scenes", "bounds: int too large"),
+            ("run.json", edit_config(planner={"dt": -1}), "plan", "dt must be positive"),
+            ("run.json", edit_config(bounds={"r_d_range": [-0.5, 1.0]}), "gen-scenes",
+             "bounds must not reach below 0"),
+            ("run.json", edit_config(bounds={"low": [0.0] * 36}), "plan", "missing key 'high'"),
+            ("scene.json", edit_obstacle(radius=BIG), "plan", "malformed scene record"),
+            ("cloud.csv", lambda text: text + "nan,0.0,0.0\n", "infer",
+             "rows must hold only finite numbers"),
+        ],
+        ids=[
+            "params-big", "params-ragged", "params-short", "dataset-big-cost",
+            "dataset-negative-gains",
+            "config-big-dt-plan", "config-big-dt-gen-scenes", "config-big-gain-high",
+            "config-negative-dt", "config-negative-low", "config-bounds-without-high",
+            "scene-big-radius", "cloud-nan",
+        ],
+    )
+    def test_usage_error_names_the_file(self, tmp_path, capsys, monkeypatch, name, edit, command,
+                                        message):
+        self.write_inputs(tmp_path)
+        path = tmp_path / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_cli(capsys, *self.COMMANDS[command])
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {name}") and message in stderr
+        assert not (tmp_path / "scenes").exists()
 
 
 class TestParser:

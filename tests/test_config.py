@@ -53,7 +53,7 @@ class TestMerging:
         path = tmp_path / "run.json"
         rows = [[literal, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         path.write_text(json.dumps({"planner": {"jacobian": rows}}).replace(f'"{literal}"', literal))
-        with pytest.raises(ValueError, match="jacobian must be finite"):
+        with pytest.raises(ValueError, match=f"{path}: jacobian must hold only finite numbers"):
             load_run_config(path)
 
     @pytest.mark.parametrize(
@@ -62,7 +62,7 @@ class TestMerging:
     )
     def test_non_number_jacobian_rejected(self, rows):
         # strings and bools would load as numbers through np.asarray
-        with pytest.raises(ValueError, match="planner.jacobian must hold only numbers"):
+        with pytest.raises(ValueError, match="^jacobian must hold only numbers"):
             run_config_from_dict({"planner": {"jacobian": rows}})
 
     def test_jacobian_list_converted(self):
@@ -156,6 +156,15 @@ class TestBoundsSection:
         path.write_text(f'{{"bounds": {text}}}')
         with pytest.raises(ValueError, match="low and high must be finite"):
             load_run_config(path)
+
+
+    @pytest.mark.parametrize(
+        "bounds", [{"r_d_range": [-0.5, 1.0]}, {"low": [-1.0] + [0.0] * 35, "high": [1.0] * 36}]
+    )
+    def test_negative_low_rejected(self, bounds):
+        # validate_params refuses every draw with a negative entry
+        with pytest.raises(ValueError, match="^bounds must not reach below 0"):
+            run_config_from_dict({"bounds": bounds})
 
 
 class TestRandomizerSection:
@@ -277,6 +286,24 @@ class TestLoadFile:
         path = tmp_path / "run.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError, match="JSON object"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"planner": {"dt": -1}}, "dt must be positive"),
+            ({"planner": {"dt": 10**400}}, "dt must be a finite real number"),
+            ({"planner": {"jacobian": [[1, 0], [0, 1], [0, 10**400]]}}, "jacobian does not convert"),
+            ({"bounds": {"gain_high": 10**400}}, "bounds: int too large to convert to float"),
+            ({"agent_weights": {"obstacle": 10**400}}, "obstacle must be a finite real number"),
+            ({"randomizer": {"start": [0, 0, 10**400]}}, "int too large to convert to float"),
+            ({"bounds": {"low": [0.0] * 36}}, "bounds: missing key 'high'"),
+        ],
+    )
+    def test_rejection_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{path}: .*{message}"):
             load_run_config(path)
 
     def test_rejects_bad_json(self, tmp_path):

@@ -277,7 +277,7 @@ class TestBatchAgreement:
                 GOAL,
                 others=tuple(o for j, o in enumerate(obstacles) if j != i),
             )
-            assert np.allclose(batch[i], single, atol=1e-12)
+            assert np.array_equal(batch[i], single)
 
     def test_empty_batch(self):
         out = one_agent_currents(
@@ -341,6 +341,9 @@ def mixed_committee(seed: int, with_nn: bool):
     if with_nn:
         nn = rng.uniform(-1.0, 1.0, (agent.size, 3))
         nn[first[10] + 1] = x[10]  # obstacle agent: neighbour offset of zero
+    # the offsets of the centers x - offsets that compute_current is given,
+    # so that it and batch_currents start from the same numbers
+    offsets = x.take(agent, axis=0) - (x.take(agent, axis=0) - offsets)
     return agent, x, v, offsets, nn
 
 
@@ -393,7 +396,7 @@ class TestMixedCommittee:
                 others=others,
                 rng=rngs[a],
             )
-            assert np.allclose(rows[k], want, rtol=0.0, atol=1e-12), (k, MIXED_KINDS[a])
+            assert np.array_equal(rows[k], want), (k, MIXED_KINDS[a])
 
     def test_degenerate_rows_fall_back(self):
         # no d gives a zero current; d x v = 0 falls back to d x e_z, and
@@ -431,7 +434,7 @@ class TestMixedCommittee:
                 other[a], kin(x[a], v[a]), SphereObstacle(center=x[a] - offsets[k], radius=0.05),
                 GOAL, others=(SphereObstacle(center=nn[k], radius=0.05),), rng=rngs[a],
             )
-            assert np.allclose(got[1][k], want, rtol=0.0, atol=1e-12)
+            assert np.array_equal(got[1][k], want)
 
 
 def test_each_row_flips_by_its_own_products():
@@ -460,18 +463,11 @@ def test_each_row_flips_by_its_own_products():
         force = c * vv - vs * vc
         near_zero += np.count_nonzero(np.abs(np.einsum("ij,ij->i", force, gap)) < 1e-14)
         assert _flip_toward_goal(c.copy(), vs, gap).tobytes() == want.tobytes()
-        # batch_currents rounds its unit currents apart from compute_current;
-        # its flips are those of its own velocity-heuristic rows
-        outputs = set()
         for agent in groupings:
             first = np.searchsorted(agent, np.arange(agent[-1] + 1))
-            args = (agent, xs[first], vs[first], xs - centers, norms(xs - centers), GOAL, None,
-                    np.zeros((0, 3)))
-            unflipped, got = (
-                batch_currents(_committee_layout((kind,) * first.size), *args)
-                for kind in (K.VELOCITY, K.PATH_LENGTH)
+            got = batch_currents(
+                _committee_layout((K.PATH_LENGTH,) * first.size), agent, xs[first], vs[first],
+                xs - centers, norms(xs - centers), GOAL, None, np.zeros((0, 3)),
             )
-            assert got.tobytes() == _flip_toward_goal(unflipped, vs, gap).tobytes()
-            outputs.add(got.tobytes())
-        assert len(outputs) == 1
+            assert got.tobytes() == want.tobytes()
     assert near_zero > 0

@@ -11,6 +11,7 @@ import pytest
 
 from cfplan.io import (
     check_json_numbers,
+    json_array,
     load_cloud_csv,
     load_depth_image,
     load_params,
@@ -83,6 +84,34 @@ class TestCheckJsonNumbers:
     def test_names_a_non_number_at_any_depth(self, shape, bad):
         with pytest.raises(ValueError, match=re.escape(f"v must hold only numbers, got {bad!r}")):
             check_json_numbers("v", shape(bad))
+
+
+class TestJsonArray:
+    @pytest.mark.parametrize(
+        "value, shape",
+        [([], (-1,)), ([1, 2.5], (-1,)), ([[1, 2, 3]], (-1, 3)), (7, ()), (np.eye(3), (3, -1))],
+    )
+    def test_accepts_numbers_of_the_shape(self, value, shape):
+        arr = json_array("v", value, shape)
+        assert arr.dtype == float and np.array_equal(arr, np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize(
+        "value, shape, message",
+        [
+            ([1, "2"], (-1,), "v must hold only numbers, got '2'"),
+            ([1, [2, 3]], (-1,), "v does not convert to a float array: setting an array element"),
+            ([[1, 2], [3]], (-1, 2), "v does not convert to a float array"),
+            ([1, 10**400], (-1,), "v does not convert to a float array: int too large"),
+            ([[1, 2]], (-1,), "v must be a float array of shape (n,), got (1, 2)"),
+            ([1, 2], (3,), "v must be a float array of shape (3,), got (2,)"),
+            ([[1, 2]], (3, -1), "v must be a float array of shape (3, n), got (1, 2)"),
+            ([1, float("nan")], (-1,), "v must hold only finite numbers"),
+            (np.array([[0.0, np.inf]]), (-1, 2), "v must hold only finite numbers"),
+        ],
+    )
+    def test_rejects_by_name(self, value, shape, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            json_array("v", value, shape)
 
 
 class TestSceneJson:
@@ -252,6 +281,30 @@ class TestCloudCsv:
         with pytest.raises(ValueError):
             load_cloud_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,0.0,0.0", "rows must hold only finite numbers"),
+            ("1.0,inf,0.0", "rows must hold only finite numbers"),
+            ("1.0,2.0", "rows does not convert to a float array"),
+            ("1.0,2.0,3.0,4.0", "rows"),
+            ("1.0,two,3.0", "could not convert string to float"),
+        ],
+    )
+    def test_rejection_names_the_file(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,z\n0.5,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_cloud_csv(path)
+
+    def test_text_is_each_float_repr(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        pts = np.array([[-0.0, 1e-300, 0.1 + 0.2], [1.0, -2.5, 1e16]])
+        save_cloud_csv(PointCloud(pts), path)
+        assert path.read_text(encoding="utf-8") == (
+            "x,y,z\n-0.0,1e-300,0.30000000000000004\n1.0,-2.5,1e+16\n"
+        )
+
 
 class TestTrajectoryCsv:
     def test_roundtrip_exact(self, tmp_path):
@@ -278,6 +331,27 @@ class TestTrajectoryCsv:
         path.write_text("t,x,y,z,clearance\n")
         with pytest.raises(ValueError):
             load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.01,nan,0.0,0.0,0.5", "0.01,0.0,0.0,0.0,-inf"])
+    def test_rejects_non_finite_rows(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"t,x,y,z,clearance\n0.0,0.0,0.0,0.0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rows must hold only finite numbers")):
+            load_trajectory_csv(path)
+
+    def test_text_is_each_float_repr(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        traj = Trajectory(
+            times=[0.0, 0.1 + 0.2],
+            positions=[[-0.0, 1e-300, 0.1 + 0.2], [1.0, 2.0, 3.0]],
+            clearances=[1e9, -0.0],
+        )
+        save_trajectory_csv(traj, path)
+        assert path.read_text(encoding="utf-8") == (
+            "t,x,y,z,clearance\n"
+            "0.0,-0.0,1e-300,0.30000000000000004,1000000000.0\n"
+            "0.30000000000000004,1.0,2.0,3.0,-0.0\n"
+        )
 
 
 class TestParamsJson:
@@ -309,6 +383,22 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         path.write_text(f"[1.0, {bad}, 2.0]")
         with pytest.raises(ValueError, match=re.escape(f"{path}: parameters must hold only numbers")):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, [2, 3]]", "parameters does not convert to a float array"),
+            ("[1.0, 1" + "0" * 399 + "]", "parameters does not convert to a float array"),
+            ("[[1.0, 2.0]]", "parameters must be a float array of shape (n,)"),
+            ("[1.0, NaN]", "parameters must hold only finite numbers"),
+        ],
+        ids=["ragged", "big-integer", "nested", "nan"],
+    )
+    def test_rejection_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_params(path)
 
 
@@ -391,6 +481,27 @@ class TestDepthPgm:
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(ValueError):
+            load_depth_image(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rotation", [[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]], "rotation must hold only"),
+            ("rotation", [1, 0, 0, 0, 1, 0, 0, 0, 1], "rotation must be a float array of shape"),
+            ("translation", [0, 0, float("inf")], "translation must hold only finite numbers"),
+            ("fx", float("nan"), "fx must hold only finite numbers"),
+            ("cx", 10**400, "cx does not convert to a float array"),
+        ],
+        ids=["rotation-nan", "rotation-flat", "translation-inf", "fx-nan", "cx-big-integer"],
+    )
+    def test_rejects_sidecar_arrays_by_name(self, tmp_path, key, value, message):
+        path = tmp_path / "depth.pgm"
+        save_depth_image(self.image(), path)
+        meta = json.loads((tmp_path / "depth.json").read_text())
+        meta[key] = value
+        (tmp_path / "depth.json").write_text(json.dumps(meta))  # NaN and Infinity, as json reads them
+        sidecar = tmp_path / "depth.json"
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar}: bad depth sidecar: {message}")):
             load_depth_image(path)
 
     @pytest.mark.parametrize("key, value", [("fx", "500"), ("cy", True), ("translation", [0, 0, "1"])])

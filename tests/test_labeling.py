@@ -246,7 +246,7 @@ class TestSerialization:
         good = sample_to_dict(self.sample())
         bad = dict(good, p_star=[1.0] * length)
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(ValueError, match=f"bad.jsonl:2: p_star has {length} entries, not 5 n"):
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: p_star: {length} entries, not 5 n"):
             load_dataset(path)
 
     def test_load_rejects_mixed_agent_counts(self, tmp_path):
@@ -255,7 +255,7 @@ class TestSerialization:
         good = sample_to_dict(self.sample())
         other = dict(good, p_star=[1.0] * 11)
         path.write_text("\n".join(json.dumps(r) for r in (good, good, other)) + "\n")
-        with pytest.raises(ValueError, match="mixed.jsonl:3: p_star has 11 entries, the first 36"):
+        with pytest.raises(ValueError, match="mixed.jsonl:3: p_star: 11 entries, the first 36"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -267,7 +267,7 @@ class TestSerialization:
             ("p_star", ["1.0"] * 36, "p_star must hold only numbers"),
             ("points", [[0.0, 1.0, "2.0"]], "points must hold only numbers"),
             ("points", [[0.0, False, 2.0]], "points must hold only numbers"),
-            ("p_star", [[1.0] * 36], "p_star must be a flat list"),
+            ("p_star", [[1.0] * 36], "p_star must be a float array of shape (n,), got (1, 36)"),
         ],
     )
     def test_load_rejects_non_numbers(self, tmp_path, key, value, message):
@@ -297,6 +297,25 @@ class TestSerialization:
         path.write_text(json.dumps(good) + "\n" + bad + "\n")
         message = f"bad.jsonl:2: bad dataset record: {key} must hold only finite numbers"
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("best_cost", 10**400, "bad dataset record: best_cost does not convert to a float array"),
+            ("points", [[0.0, 10**400, 1.0]], "bad dataset record: points does not convert"),
+            ("p_star", [-5.0] * 36, "p_star: gains must be non-negative"),
+            ("p_star", [1.0] * 35 + [-0.1], "p_star: detection radius must be non-negative"),
+        ],
+        ids=["best_cost-big-integer", "points-big-integer", "negative-gains", "negative-r_d"],
+    )
+    def test_load_rejects_integers_beyond_floats_and_invalid_params(
+        self, tmp_path, key, value, message
+    ):
+        path = tmp_path / "bad.jsonl"
+        good = sample_to_dict(self.sample())
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{key: value})) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad.jsonl:2: {message}")):
             load_dataset(path)
 
     def test_load_stored_benchmark_dataset(self):
