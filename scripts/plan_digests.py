@@ -31,8 +31,9 @@ ties shrink the trust region to its floor and give the GP constant data, and
 one that raises on half the box and so scores ``PENALTY``), plus one short
 ``tune_scene`` of the obstruction scene.  The ``scenes`` line hashes the
 centers, radii and goal of ``randomize_scene`` on desk seeds 0-39 and on the
-two unseen desk scenes, and the ``nn`` line hashes ``Scene.nn_centers`` on
-the same scenes.  The ``subsample`` line hashes farthest-point subsamples of
+two unseen desk scenes, and the ``nn`` line hashes
+``Scene.nearest_other_centers`` of every obstacle on the same scenes.  The
+``subsample`` line hashes farthest-point subsamples of
 clouds full of distance ties: a permuted lattice, that lattice twice over,
 40 points a hundred times over, points on a line, tight clusters, a cloud
 with half its points coincident, 20k Gaussian points, and the raw surface
@@ -230,7 +231,8 @@ def nn_digest() -> str:
     desk = default_desk_randomizer()
     h = hashlib.sha256()
     for scene_id in (*range(40), *QUERY_SCENES):
-        h.update(randomize_scene(desk, scene_id).nn_centers.tobytes())
+        scene = randomize_scene(desk, scene_id)
+        h.update(scene.nearest_other_centers(np.arange(scene.radii.size)).tobytes())
     return h.hexdigest()
 
 
@@ -352,7 +354,7 @@ def currents_digest() -> str:
         dist = norms(offsets)
         surf = dist - scene.radii
         force = planner._forces(
-            x, v, offsets, dist, surf, scene.goal, scene.nn_centers, com,
+            x, v, offsets, dist, surf, scene.goal, scene.nearest_other_centers, com,
             RandomRows(com).reader(), cfg.manip_direction,
         )
         h.update(force.tobytes())

@@ -10,8 +10,14 @@ collapses.  A trust region around the incumbent halves after every
 ``PATIENCE`` consecutive non-improving evaluations, down to ``TR_FLOOR`` of
 the box, and snaps back to the full box on improvement.
 
-Objective failures (exceptions, non-finite values) score a large finite
-penalty, so crashed evaluations stay informative instead of aborting the run.
+Objective failures score a large finite penalty, so crashed evaluations
+stay informative instead of aborting the run: a ValueError (overlaps and
+singular matrices among them), an ArithmeticError, a RuntimeError or a
+non-finite value.  Any other exception, such as a TypeError or a missing
+name, is a fault of the program and propagates.
+
+SciPy is imported at first use, so planning with given or inferred gains,
+which never tunes, loads none of it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gp import GpModel, gp_fit, gp_predict_batch
 from .params import BoundsBox
@@ -42,9 +47,7 @@ class BoResult:
 
 
 def _sobol_points(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # imported here: scipy.stats costs most of the package's import time and
-    # memory, and planning with given or inferred gains never tunes
-    from scipy.stats import qmc
+    from scipy.stats import qmc  # see the module docstring
 
     engine = qmc.Sobol(d=lo.shape[0], scramble=True, seed=int(rng.integers(0, 2**31 - 1)))
     with warnings.catch_warnings():
@@ -101,6 +104,8 @@ def acquire(
     """Pick the next evaluation point from a Sobol pool in the trust region
     plus Gaussian perturbations of the incumbent, via a uniform draw from the
     EI/PI/LCB non-dominated set."""
+    from scipy.special import ndtr  # see the module docstring
+
     x_best, y_best = model.incumbent
     widths = bounds.widths
     if tr_scale >= 1.0:
@@ -128,7 +133,7 @@ def acquire(
 def _evaluate(objective, x: np.ndarray) -> float:
     try:
         y = float(objective(np.asarray(x, dtype=float)))
-    except Exception:
+    except (ValueError, ArithmeticError, RuntimeError):
         return PENALTY
     return y if np.isfinite(y) else PENALTY
 

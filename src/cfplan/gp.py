@@ -5,7 +5,8 @@ targets standardized to zero mean / unit variance.  Hyperparameters come from
 a profiled marginal likelihood: the signal variance has a closed form given
 (length scale, noise ratio), so the search is a small log-spaced grid over
 those two followed by a coordinate refinement.  This keeps the fit free of
-iterative-optimizer dependencies and bitwise deterministic.
+iterative-optimizer dependencies and bitwise deterministic.  SciPy's
+solvers and distances are imported at first use, as in ``cfplan.bo``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .params import BoundsBox
 
@@ -69,6 +68,8 @@ def _profiled_nll(r: np.ndarray, y: np.ndarray, ell: float, g: float):
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return math.inf, 1.0
+    from scipy.linalg import solve_triangular
+
     beta = solve_triangular(chol, y, lower=True)
     s2 = max(float(beta @ beta) / n, 1e-300)
     nll = n * math.log(s2) + 2.0 * float(np.log(np.diag(chol)).sum())
@@ -146,6 +147,9 @@ def gp_fit(observations, bounds: BoundsBox | None = None) -> GpModel:
     y_scale = 1.0 if constant else y_std
     y = np.zeros_like(y_raw) if constant else (y_raw - y_mean) / y_scale
 
+    from scipy.linalg import cho_solve
+    from scipy.spatial.distance import cdist
+
     r = cdist(xn, xn)
     if constant:
         s2, ell, g = 1.0, 1.0, 1e-6
@@ -181,6 +185,9 @@ def gp_predict_batch(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, np
     q = np.asarray(points, dtype=float)
     if q.ndim == 1:
         q = q[None, :]
+    from scipy.linalg import solve_triangular
+    from scipy.spatial.distance import cdist
+
     qn = (q - model.x_lo) / model.x_width
     r = cdist(qn, model.xn)
     k = model.signal_var * matern52(r, model.length_scale)

@@ -28,13 +28,16 @@ among agents with some.
 The m obstacles are a Verlet neighbour list, refreshed every
 ``REFRESH_STEPS`` steps from the agents' current rows.  The speed cap bounds
 how far any agent moves between refreshes (``REFRESH_STEPS - 1`` steps of
-``v_max * dt``), so each k-d tree ball query (``Scene.neighbour_list``) finds
-every obstacle whose surface can come within an agent's detection radius and
-every obstacle that can be nearest to a sample until the next one; the dense
-pass then runs over those alone.  A list that already holds every obstacle is
-kept for the rest of the call.  Lists keep their ascending scene order, so
-pairs, sums and random draws follow the same order as a pass over the whole
-scene, and results are bitwise the same.
+``v_max * dt``), so each list (``Scene.neighbour_list``, one ball around the
+rows over one pass of the scene's center columns) holds every obstacle whose
+surface can come within an agent's detection radius and every obstacle that
+can be nearest to a sample until the next one; the dense pass then runs over
+those alone.  A list that already holds every obstacle is kept for the rest
+of the call.  Lists keep their ascending scene order, so pairs, sums and
+random draws follow the same order as a pass over the whole scene, and
+results are bitwise the same.  Only the obstacles that enter a shell need
+their nearest other obstacle (``Scene.nearest_other_centers``), which the
+scene finds the first time and keeps.
 
 Random-heuristic agents read their currents from a ``RandomRows`` table:
 the standard normals of the stream of ``(master_seed, agent_id)``, drawn once
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -259,8 +262,9 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pul
     """Steering force on every agent of the committee, (A, 3).
 
     ``offsets`` (A, n, 3) holds x - center per listed obstacle, ``dist``
-    (A, n) its norms, ``surf`` the surface distances and ``nn`` (n, 3) the
-    center of each one's nearest other obstacle (None without one).
+    (A, n) its norms and ``surf`` the surface distances.  ``nn`` maps
+    positions in that list to the centers of those obstacles' nearest other
+    obstacles, (k, 3); it is None when the scene has fewer than two.
     ``read`` is a ``RandomRows.reader`` of the committee.  An
     obstacle acts on an agent when its surface lies within the agent's
     detection shell: one mask over ``surf`` yields the (agent, obstacle)
@@ -276,7 +280,7 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pul
         off, d = offsets.reshape(-1, 3).take(idx, axis=0), dist.take(idx)
         currents = batch_currents(
             com.layout, agent, x, v, off, d, goal,
-            None if nn is None else nn.take(idx % n, axis=0), read(agent),
+            None if nn is None else nn(idx % n), read(agent),
         )
         rho = np.maximum(surf.take(idx), RHO_MIN)
         mag = com.k_r.take(agent) * (1.0 / rho - com.inv_r_d) / rho**2
@@ -291,6 +295,12 @@ def _forces(x, v, offsets, dist, surf, goal, nn, com: Committee, read, manip_pul
     if manip_pull is not None:
         f = f + com.k_manip * manip_pull
     return f
+
+
+def _nearest_listed(scene: Scene, near: np.ndarray, listed: np.ndarray) -> np.ndarray:
+    """The nearest other centers of the obstacles at positions ``listed``
+    of the neighbour list ``near``."""
+    return scene.nearest_other_centers(near.take(listed))
 
 
 def _circling(v, cs, com: Committee):
@@ -345,9 +355,7 @@ def rollout(
             travel = min(REFRESH_STEPS - 1, n_steps - i) * cfg.v_max * cfg.dt
             near = scene.neighbour_list(x, travel, reach)
             centers, radii = scene.centers.take(near, axis=0), scene.radii.take(near)
-            nn = scene.nn_centers
-            if nn is not None:
-                nn = nn.take(near, axis=0)
+            nn = partial(_nearest_listed, scene, near) if n_all > 1 else None
         offsets = x[:, None, :] - centers
         dist = norms(offsets)
         surf = dist - radii

@@ -19,24 +19,28 @@ from itertools import chain
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 Vec3 = np.ndarray  # shape (3,), float64
 
 _SQRT3 = math.sqrt(3.0)
 
-# farthest-point subsampling: candidates per batch of exact picks, the share
-# of the cloud below which a pick's ball no longer updates every point, and
-# the leaf size of the tree of the batches' ball queries.  On desk clouds
-# leaves of 64 points cut the ball queries' time by a sixth against the
-# default of 16; 128 was no faster.  Compacting the nodes made the tree a
-# quarter slower to build and no query faster
+# farthest-point subsampling: candidates per batch of exact picks, and the
+# share of the cloud below which a pick's ball no longer updates every point
 FPS_BATCH = 256
 WHOLE_SHARE = 32
-FPS_LEAF = 64
 
-#: neighbours of each center that ``Scene.nn_centers`` asks the tree for first
-NN_K = 8
+# the cell grid of the batches' ball queries: its cell edge per ball radius
+# when it is built, the share of that radius below which it is built again
+# with finer cells, and its most cells per point.  On desk clouds (about 35k
+# points, 2,500 picks, radii 0.42 -> 0.054 m) this builds two grids; edges
+# of 1/3 or 1/5 of the radius, a new grid every halving of it, or 4 or 8
+# cells a point were each a few percent slower
+CELL_SHARE = 0.25
+REGRID = 0.3
+CELLS_PER_POINT = 2
+
+#: (rows, centers) entries per block of the nearest-other pass
+NN_BLOCK = 1 << 16
 
 
 def as_vec3(value) -> Vec3:
@@ -86,15 +90,19 @@ def check_json_numbers(name: str, value) -> None:
 def json_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as a float array of ``shape``, where -1 stands for any
     length: every leaf a number (``check_json_numbers``; an ndarray is taken
-    as numbers), nested lists of equal length, every entry finite.  Anything
-    else, ragged lists and integers too large for a float included, raises a
-    ValueError that names ``name``."""
+    as numbers), nested lists of equal length, every entry finite.  An empty
+    list is a length-0 array when the leading length is free, such as the
+    (0, 3) cloud of a scene without obstacles.  Anything else, ragged lists
+    and integers too large for a float included, raises a ValueError that
+    names ``name``."""
     if not isinstance(value, np.ndarray):
         check_json_numbers(name, value)
     try:
         arr = np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{name} does not convert to a float array: {exc}") from None
+    if arr.shape == (0,) and shape[:1] == (-1,):
+        arr = arr.reshape(0, *(max(m, 0) for m in shape[1:]))
     if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
         want = str(shape).replace("-1", "n")
         raise ValueError(f"{name} must be a float array of shape {want}, got {arr.shape}")
@@ -264,8 +272,9 @@ class Scene:
     arrays with ``Scene.from_arrays``; ``Scene(obstacles, start, goal,
     workspace)`` takes ``SphereObstacle`` objects, converts them once and
     keeps only the arrays.  ``obstacles`` builds the objects anew on every
-    access.  The k-d tree and the other derived arrays are computed on first
-    use and kept with the instance.  Scenes compare by identity.
+    access.  The centers' column layout and extent are computed on first
+    use, and each obstacle's nearest other the first time it is asked for;
+    all are kept with the instance.  Scenes compare by identity.
     """
 
     centers: np.ndarray
@@ -321,24 +330,34 @@ class Scene:
         return tuple(SphereObstacle(c, r) for c, r in zip(self.centers, self.radii.tolist()))
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """k-d tree over ``centers``."""
-        return cKDTree(self.centers)
+    def _columns(self) -> np.ndarray:
+        """``centers`` as a (3, n) array, one row per axis."""
+        return _read_only(np.ascontiguousarray(self.centers.T))
 
     @cached_property
-    def nn_centers(self) -> np.ndarray | None:
-        """Center of each obstacle's nearest other obstacle, (n, 3); None for
-        fewer than two obstacles.  Distance ties go to the lowest index.
+    def _nearest(self) -> np.ndarray:
+        """Index of each obstacle's nearest other obstacle, -1 until asked for."""
+        return np.full(self.radii.shape[0], -1, dtype=np.intp)
 
-        One k-d tree query of every center's ``NN_K`` nearest (see
-        ``_nearest_others``) scores its candidates with ``((a - b) **
-        2).sum()``; the lowest score, then the lowest index, wins.
+    def nearest_other_centers(self, obstacles) -> np.ndarray | None:
+        """Center of the nearest other obstacle of each obstacle that the
+        indices ``obstacles`` name, (k, 3); None for fewer than two
+        obstacles.  The lowest score ``((a - b) ** 2).sum()``, then the
+        lowest index, wins.
+
+        An obstacle's answer takes one pass over every center the first
+        time it is asked for and is kept: a plan asks only for the
+        obstacles that enter an agent's shell, a few dozen on desk scenes.
         """
-        centers = self.centers
-        n = centers.shape[0]
-        if n < 2:
+        if self.radii.shape[0] < 2:
             return None
-        return _read_only(centers[_nearest_others(self.tree, centers, np.arange(n), NN_K)])
+        nearest = self._nearest
+        best = nearest.take(obstacles)
+        if (best < 0).any():
+            new = np.unique(np.asarray(obstacles)[best < 0])
+            nearest[new] = _nearest_others(self._columns, new)
+            best = nearest.take(obstacles)
+        return self.centers.take(best, axis=0)
 
     @cached_property
     def _extent(self) -> tuple[np.ndarray, float, float, float]:
@@ -362,11 +381,12 @@ class Scene:
         its center within ``reach + r_max + t`` of ``x0``.  The obstacle
         whose center is nearest ``x0``, at ``d_nn``, has its surface within
         ``d_nn + t - r_min`` of the point, so every minimizer's center lies
-        within ``d_nn + 2t + (r_max - r_min)`` of ``x0``.  One ball query
-        over the larger of the two radii keeps them all.
+        within ``d_nn + 2t + (r_max - r_min)`` of ``x0``.  One pass over
+        the centers' columns gives every center's distance from ``x0``,
+        hence ``d_nn`` and the ball over the larger of the two radii.
 
         When that ball must hold every center (always for one obstacle), the
-        list is every index and the tree is not queried: all centers lie
+        list is every index and no distance is taken: all centers lie
         within ``c`` of their midpoint, at ``g`` from ``x0``, so within
         ``g + c`` of ``x0`` and no nearer than ``g - c``.
         """
@@ -381,38 +401,33 @@ class Scene:
         ):
             return np.arange(n)
         t = travel + float(np.sqrt(((rows - x0) ** 2).sum(axis=1)).max())
-        d_nn = float(self.tree.query(x0)[0])
-        radius = max(reach + r_max + t, d_nn + 2.0 * t + (r_max - r_min))
-        ball = self.tree.query_ball_point(x0, _slack(radius), return_sorted=True)
-        return np.array(ball, dtype=np.intp)
+        d = _distances(self._columns, x0[:, None])
+        radius = max(reach + r_max + t, float(d.min()) + 2.0 * t + (r_max - r_min))
+        return np.flatnonzero(d <= _slack(radius))
 
 
-def _nearest_others(tree: cKDTree, centers: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """Index of the nearest other center of each center ``rows`` names:
-    the lowest score ``((a - b) ** 2).sum()``, then the lowest index.
-
-    The candidates are the tree's ``k`` nearest that lie within the
-    second-nearest distance ``d_nn`` (the first is the center itself or a
-    coincident one), widened by ``_slack`` to cover the tree's rounding.  A
-    row whose last neighbour still lies within that bound may have more such
-    centers, so it is asked again for twice as many."""
-    n = centers.shape[0]
-    k = min(k, n)
-    x = centers[rows]
-    d, j = tree.query(x, k=k)
-    bound = _slack(d[:, 1])[:, None]
-    d2 = ((x[:, None, :] - centers[j]) ** 2).sum(axis=2)
-    d2[(j == rows[:, None]) | (d > bound)] = math.inf
-    best = np.where(d2 == d2.min(axis=1, keepdims=True), j, n).min(axis=1)
-    if k < n:
-        more = (d[:, -1] <= bound[:, 0]).nonzero()[0]
-        if more.size:
-            best[more] = _nearest_others(tree, centers, rows[more], 2 * k)
+def _nearest_others(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of the nearest other center of each center that ``rows``
+    names, given the centers' (3, n) columns: the lowest score ``((a - b)
+    ** 2).sum()``, then the lowest index.  Blocks of rows score every
+    center at once, ``NN_BLOCK`` entries at a time."""
+    n = cols.shape[1]
+    best = np.empty(rows.shape[0], dtype=np.intp)
+    step = max(1, NN_BLOCK // n)
+    for s in range(0, rows.shape[0], step):
+        block = rows[s : s + step]
+        sq = cols[:, None, :] - cols[:, block, None]
+        sq *= sq
+        score = (sq[0] + sq[1]) + sq[2]
+        score[np.arange(block.shape[0]), block] = math.inf
+        best[s : s + step] = score.argmin(axis=1)
     return best
 
 
 def _slack(radius):
-    """``radius`` widened to cover the tree's own rounding of distances."""
+    """``radius`` widened to cover the rounding of the distances it is
+    compared with, which may differ from the distances it bounds in the
+    last bits."""
     return radius * (1 + 1e-9) + 1e-12
 
 
@@ -525,8 +540,11 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
       most ``tau`` away, and distances only fall, so it is the global pick.
     - No other point is farther than ``tau``, so only picks within ``tau``
       of it can bring it closer: one batched ball query of the batch's picks
-      updates the rest.  Its tree has leaves of ``FPS_LEAF`` points, since
-      the query's cost is the tree walk, not the lists it returns.
+      on a ``_CellGrid`` updates the rest.  Its pairs need only hold every
+      point within ``tau`` of a pick, since the update takes exact minima.
+      The grid is built with cells a ``CELL_SHARE`` of the radius wide and
+      built again with finer cells once ``tau`` falls below ``REGRID`` of
+      the radius it was built for, so a pick reads few cells.
     """
     integer("n_points", n_points, 1)
     pts = cloud.points
@@ -546,8 +564,7 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
         np.minimum(dist, d, out=dist)
         if WHOLE_SHARE * in_ball < n:
             break
-    if len(chosen) < n_points:
-        tree = cKDTree(pts, leafsize=FPS_LEAF, balanced_tree=False, compact_nodes=False)
+    grid = None
     rest = n - FPS_BATCH  # points that a full batch leaves out of its candidates
     while len(chosen) < n_points:
         tau = np.partition(dist, rest - 1)[rest - 1] if rest > 0 else -math.inf
@@ -568,8 +585,13 @@ def subsample(cloud: PointCloud, n_points: int) -> PointCloud:
         picks = chosen[start:]
         dist[cand] = cd
         if cand.size < n:
-            owner, index = _ball_pairs(tree, pts[picks], _slack(tau))
-            np.minimum.at(dist, index, _distances(cols[:, index], cols[:, picks][:, owner]))
+            radius = _slack(tau)
+            if grid is None or radius < REGRID * grid.radius:
+                grid = _CellGrid(pts, radius)
+            owner, index = _ball_pairs(grid, pts[picks], radius)
+            pick_cols = cols[:, picks]
+            d = _distances(cols.take(index, axis=1), pick_cols.take(owner, axis=1))
+            np.minimum.at(dist, index, d)
     return PointCloud(pts[chosen])
 
 
@@ -582,13 +604,70 @@ def _distances(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sqrt((sq[0] + sq[1]) + sq[2])
 
 
-def _ball_pairs(tree: cKDTree, points: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
-    """One batched ball query, flattened: tree point ``index[k]`` lies within
-    ``radius`` of row ``owner[k]`` of ``points``, in no particular order."""
-    balls = tree.query_ball_point(points, radius, return_sorted=False)
-    owner = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
-    index = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
-    return owner, index
+class _CellGrid:
+    """The points of a cloud sorted by cubic cell, x-major, for the ball
+    queries of ``_ball_pairs``: each column of cells (fixed x and y cell)
+    lists its points by z cell, so any z-run of its cells is one slice of
+    ``order``.
+
+    Cells are ``CELL_SHARE * radius`` wide (``radius`` padded to cover
+    rounding), so a query of up to ``radius`` spans at most 11 columns
+    along x and along y.  They are wider where the cloud's extent would
+    need more than ``CELLS_PER_POINT`` cells a point; that bound also keeps
+    every cell key far inside int64.  Coordinates are taken from the
+    cloud's lowest corner, so a cloud far from the origin keeps the
+    precision of its own extent.
+    """
+
+    def __init__(self, pts: np.ndarray, radius: float):
+        # covers the rounding of coordinates, cell bounds and ball extents
+        self.pad = 1e-12 * float(np.abs(pts).max())
+        self.low = pts.min(axis=0)
+        rel = pts - self.low
+        extent = rel.max(axis=0).tolist()
+        most = CELLS_PER_POINT * pts.shape[0]
+        edge = max(CELL_SHARE * (radius + self.pad), max(extent) / most)
+        while math.prod(int(e / edge) + 1 for e in extent) > most:
+            edge *= 1.25
+        self.dims = [int(e / edge) + 1 for e in extent]
+        cell = np.floor(rel / edge).astype(np.intp)
+        key = (cell[:, 0] * self.dims[1] + cell[:, 1]) * self.dims[2] + cell[:, 2]
+        self.order = key.argsort()
+        cells = math.prod(self.dims)
+        self.starts = np.zeros(cells + 1, dtype=np.intp)  # key k holds order[starts[k]:starts[k + 1]]
+        np.cumsum(np.bincount(key, minlength=cells), out=self.starts[1:])
+        self.edge, self.radius = edge, radius
+
+
+def _ball_pairs(grid: _CellGrid, points: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """One batched ball query, flattened: cloud point ``index[k]`` lies in
+    a z-run of cells that the ball of ``radius`` around row ``owner[k]`` of
+    ``points`` reaches.  The runs are trimmed to the ball: a column whose xy
+    rectangle lies farther than ``radius`` from the row is skipped, and any
+    other keeps the z cells that the ball spans at the rectangle's nearest
+    xy point.  Every point within ``radius`` of a row is paired with it
+    once; so are some points up to a cell diagonal farther out."""
+    e, (nx, ny, nz) = grid.edge, grid.dims
+    r = radius + grid.pad
+    rel = points - grid.low
+    k = int(r / e) + 1
+    # x and y cell indices of the columns around each row, (P, 2, 2k + 1)
+    xy = np.floor(rel[:, :2] / e).astype(np.intp)[:, :, None] + np.arange(-k, k + 1)
+    below = xy * e - rel[:, :2, None]  # from each row up to a column's low face
+    gap = np.maximum(np.maximum(below, -e - below), 0.0)
+    gap *= gap
+    gap[(xy < 0) | (xy >= np.array([[nx], [ny]]))] = math.inf
+    h2 = (r * r - gap[:, 0, :, None]) - gap[:, 1, None, :]
+    owner, i, j = np.nonzero(h2 >= 0.0)
+    hz = np.sqrt(h2[owner, i, j])
+    z = rel[owner, 2]
+    base = (xy[owner, 0, i] * ny + xy[owner, 1, j]) * nz
+    start = grid.starts.take(base + np.maximum(np.floor((z - hz) / e), 0.0).astype(np.intp))
+    stop = grid.starts.take(base + np.minimum(np.floor((z + hz) / e), nz - 1).astype(np.intp) + 1)
+    size = stop - start
+    end = size.cumsum()  # not empty: each row's own column is in its ball
+    pos = np.arange(end[-1]) + np.repeat(start - (end - size), size)
+    return np.repeat(owner, size), grid.order.take(pos)
 
 
 def _cell_centers(cells: np.ndarray, edge: float) -> np.ndarray:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cfplan.bo import PENALTY, BoResult, bo_minimize, pareto_non_dominated
+from cfplan.fields import OverlapError
 from cfplan.params import BoundsBox
+from cfplan.scene import PlacementFailure
 
 UNIT_2D = BoundsBox(low=[-1.0, -1.0], high=[1.0, 1.0])
 
@@ -113,6 +115,35 @@ class TestFailures:
         result = bo_minimize(broken, BoundsBox(low=[-1.0], high=[1.0]), n_init=3, n_iter=3, seed=0)
         assert result.best_y == PENALTY
         assert len(result.observations) == 6
+
+    @pytest.mark.parametrize(
+        "error",
+        [ValueError, np.linalg.LinAlgError, OverlapError, ZeroDivisionError, FloatingPointError, PlacementFailure],
+    )
+    def test_failed_evaluations_become_penalties(self, error):
+        def failing(x):
+            if x[0] > 0.0:
+                raise error("failed evaluation")
+            return float(x[0] ** 2)
+
+        result = bo_minimize(failing, BoundsBox(low=[-1.0], high=[1.0]), n_init=4, n_iter=2, seed=0)
+        assert PENALTY in [y for _, y in result.observations]
+
+    @pytest.mark.parametrize("error", [TypeError, NameError, AttributeError, ImportError, KeyError])
+    def test_faults_of_the_program_propagate(self, error):
+        # a fault such as a name missing behind a deferred import must not
+        # become a penalty; it stops the run at the evaluation that hits it
+        calls = []
+
+        def faulty(x):
+            calls.append(x)
+            if len(calls) == 5:  # the first guided evaluation
+                raise error("fault")
+            return float(x[0] ** 2)
+
+        with pytest.raises(error, match="fault"):
+            bo_minimize(faulty, BoundsBox(low=[-1.0], high=[1.0]), n_init=4, n_iter=3, seed=0)
+        assert len(calls) == 5
 
 
 class TestArgumentValidation:

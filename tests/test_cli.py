@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -689,3 +692,45 @@ class TestParser:
             "plan": ["--scene", "--params", "--infer", "--traj", "--plot", "--config"],
             "infer": ["--cloud", "--dataset", "--out", "--config"],
         }
+
+
+GUARD_SCRIPT = """
+import json, sys
+from cfplan import cli
+SCENE, DATASET, CLOUD, CONFIG = sys.argv[1:]
+codes = [
+    cli.main(["plan", "--scene", SCENE, "--infer", DATASET, "--config", CONFIG]),
+    cli.main(["infer", "--cloud", CLOUD, "--dataset", DATASET, "--config", CONFIG]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from cfplan.bo import bo_minimize
+from cfplan.params import BoundsBox
+result = bo_minimize(lambda x: float(x @ x), BoundsBox(low=[-1.0], high=[1.0]), n_init=2, n_iter=1)
+print(json.dumps({"codes": codes, "scipy": loaded, "evals": len(result.observations)}))
+"""
+
+
+class TestImports:
+    def test_plan_and_infer_load_no_scipy(self, tmp_path):
+        # a fresh process plans a desk scene with inferred gains and infers
+        # gains for a cloud without loading SciPy; its first tuning loads it
+        rng = np.random.default_rng(0)
+        samples = [
+            LabeledSample(i, rng.uniform(-0.8, 0.8, (60, 3)), make_params(k_p=8.0 + i, k_v=4.0, r_d=0.3), 1.0)
+            for i in range(2)
+        ]
+        scene, dataset, cloud, config = (tmp_path / n for n in ("scene.json", "d.jsonl", "cloud.csv", "run.json"))
+        io.save_scene(randomize_scene(default_desk_randomizer(), 2_000_003), scene)
+        write_dataset(samples, dataset)
+        io.save_cloud_csv(io.PointCloud(rng.uniform(-0.8, 0.8, (60, 3))), cloud)
+        config.write_text(json.dumps({"planner": {"horizon": 10, "replan_every": 10, "max_steps": 60}, "knn_k": 2}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", GUARD_SCRIPT, *map(str, (scene, dataset, cloud, config))],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["codes"][0] in (0, 1) and report["codes"][1] == 0
+        assert report["scipy"] == []
+        assert report["evals"] == 3

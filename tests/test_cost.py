@@ -75,7 +75,7 @@ class TestSurfaceClearances:
 def desk_path(scene: Scene, n: int) -> np.ndarray:
     """``n`` samples winding from the scene's start to the center of the
     sphere nearest its goal, in free space first and then into that sphere."""
-    end = scene.centers[scene.tree.query(scene.goal)[1]]
+    end = scene.centers[np.argmin(np.linalg.norm(scene.centers - scene.goal, axis=1))]
     s = np.linspace(0.0, 1.0, n)[:, None]
     wiggle = 0.05 * (1.0 - s) * np.c_[np.sin(40 * s), np.cos(40 * s), np.sin(25 * s)]
     return scene.start + s * (end - scene.start) + wiggle

@@ -95,6 +95,11 @@ class TestJsonArray:
         arr = json_array("v", value, shape)
         assert arr.dtype == float and np.array_equal(arr, np.asarray(value, dtype=float))
 
+    @pytest.mark.parametrize("shape", [(-1, 3), (-1, 2, 4), (-1, -1)])
+    def test_empty_list_with_free_leading_length(self, shape):
+        arr = json_array("v", [], shape)
+        assert arr.dtype == float and arr.shape == (0, *(max(m, 0) for m in shape[1:]))
+
     @pytest.mark.parametrize(
         "value, shape, message",
         [
@@ -107,6 +112,8 @@ class TestJsonArray:
             ([[1, 2]], (3, -1), "v must be a float array of shape (3, n), got (1, 2)"),
             ([1, float("nan")], (-1,), "v must hold only finite numbers"),
             (np.array([[0.0, np.inf]]), (-1, 2), "v must hold only finite numbers"),
+            ([], (3,), "v must be a float array of shape (3,), got (0,)"),
+            ([], (3, -1), "v must be a float array of shape (3, n), got (0,)"),
         ],
     )
     def test_rejects_by_name(self, value, shape, message):

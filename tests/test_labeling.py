@@ -12,6 +12,7 @@ import pytest
 
 from cfplan import labeling
 from cfplan.cost import AgentCostWeights, TrajectoryCostWeights
+from cfplan.inference import descriptor_rows, featurize, knn_predict
 from cfplan.labeling import (
     CLOUD_SIZE,
     SURFACE_DENSITY,
@@ -223,6 +224,28 @@ class TestSerialization:
         back = load_dataset(path)
         assert len(back) == 2
         assert np.array_equal(back[0].points, samples[0].points)
+
+    def test_obstacle_free_label_roundtrips(self, tmp_path):
+        # a scene without obstacles has a (0, 3) cloud, written as "points": []
+        scene = empty_scene()
+        free = LabeledSample(
+            scene_id=3, points=scene_surface_cloud(scene).points, p_star=np.full(36, 2.0), best_cost=0.5
+        )
+        assert free.points.shape == (0, 3)
+        path = tmp_path / "data.jsonl"
+        write_dataset([self.sample(), free], path)
+        assert '"points": []' in path.read_text().splitlines()[1]
+        back = load_dataset(path)
+        assert back[1].points.shape == (0, 3) and back[1].p_star.tolist() == [2.0] * 36
+        ws = scene.workspace
+        # an empty query cloud has the empty label's zero descriptor
+        assert knn_predict(featurize(PointCloud(np.zeros((0, 3))), ws), back, ws, k=2).tolist() == [2.0] * 36
+        # any other query blends both labels by inverse distance
+        query = featurize(PointCloud(np.random.default_rng(1).uniform(-1, 1, (30, 3))), ws)
+        dists = np.linalg.norm(descriptor_rows([s.points for s in back], ws) - query.vector(), axis=1)
+        weights = 1.0 / (dists + 1e-9)
+        want = (weights / weights.sum()) @ np.stack([s.p_star for s in back])
+        assert np.allclose(knn_predict(query, back, ws, k=2), want, rtol=1e-12, atol=0.0)
 
     def test_load_rejects_missing_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -436,7 +436,7 @@ class TestLockstep:
         pairs = (surf <= detection_radius(p)).sum(axis=1)
         assert pairs[3] == 0 and np.all(np.delete(pairs, 3) > 0)
         force = planner._forces(
-            x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
+            x, v, offsets, dist, surf, scene.goal, scene.nearest_other_centers,
             com, RandomRows(com).reader(), None,
         )
         attract = com.k_p[3] * (scene.goal - x[3]) - com.k_v[3] * v[3]
@@ -478,7 +478,7 @@ def assert_forces_match_scalar_oracle(which: str, p: np.ndarray) -> None:
     assert surf.min() > 0.0  # the scalar repulsion rejects overlaps
     assert np.all(np.any(surf <= r_d, axis=1))  # every agent steers
     force = planner._forces(
-        x, v, offsets, dist, surf, scene.goal, scene.nn_centers,
+        x, v, offsets, dist, surf, scene.goal, scene.nearest_other_centers,
         com, RandomRows(com).reader(), cfg.manip_direction,
     )
     obstacles = scene.obstacles

@@ -15,7 +15,6 @@ from cfplan import scene as scene_mod
 from cfplan.labeling import scene_surface_cloud
 from cfplan.scene import (
     FPS_BATCH,
-    NN_K,
     Cuboid,
     Cylinder,
     DepthImage,
@@ -113,8 +112,8 @@ class TestMinSurfaceDistance:
 
 
 def nn_reference(centers: np.ndarray) -> np.ndarray:
-    """The chunked O(n^2) search ``Scene.nn_centers`` replaces: every
-    center's squared distance to every other, lowest index on ties."""
+    """The chunked O(n^2) search behind ``Scene.nearest_other_centers``:
+    every center's squared distance to every other, lowest index on ties."""
     n = centers.shape[0]
     chunk = 64  # bounds the (chunk, n, 3) difference block
     nearest = np.empty(n, dtype=np.int64)
@@ -125,6 +124,11 @@ def nn_reference(centers: np.ndarray) -> np.ndarray:
         d2[rows, s + rows] = np.inf
         nearest[s : s + chunk] = d2.argmin(axis=1)
     return centers[nearest]
+
+
+def all_nearest(scene: Scene) -> np.ndarray | None:
+    """``Scene.nearest_other_centers`` of every obstacle, in index order."""
+    return scene.nearest_other_centers(np.arange(scene.radii.size))
 
 
 def spheres_scene(centers, radii) -> Scene:
@@ -140,12 +144,12 @@ class TestSceneArrays:
     @pytest.mark.parametrize("seed", [0, 3173392])
     def test_desk_nn_centers_match_reference(self, seed):
         scene = randomize_scene(default_desk_randomizer(), seed)
-        assert np.array_equal(scene.nn_centers, nn_reference(scene.centers))
+        assert np.array_equal(all_nearest(scene), nn_reference(scene.centers))
 
     def test_nn_centers_with_coincident_centers(self):
         centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
         scene = spheres_scene(centers, [0.1] * 5)
-        assert np.array_equal(scene.nn_centers, nn_reference(centers))
+        assert np.array_equal(all_nearest(scene), nn_reference(centers))
 
     def test_nn_centers_match_brute_force_with_ties(self):
         # lattice spacing 0.25 makes the squared distances exact, so most
@@ -168,12 +172,12 @@ class TestSceneArrays:
                 if j != i and d2 < best_d2:
                     best_j, best_d2 = j, d2
             want.append(centers[best_j])
-        assert np.array_equal(scene.nn_centers, np.array(want))
+        assert np.array_equal(all_nearest(scene), np.array(want))
 
     @pytest.mark.parametrize("case", ["9 coincident", "17 coincident", "12 equidistant", "n < NN_K"])
     def test_nn_centers_with_tie_sets_wider_than_the_first_query(self, case):
-        # the first tree query asks for NN_K = 8 neighbours; wider tie sets
-        # are asked again, and the lowest score, then the lowest index, wins
+        # tie sets of 9, 17 and 12 centers, and a scene of four: the lowest
+        # score, then the lowest index, wins
         rng = np.random.default_rng(4)
         far = 0.25 * rng.integers(-8, 8, size=(10, 3)) + 4.0
         if case.endswith("coincident"):
@@ -187,10 +191,9 @@ class TestSceneArrays:
             centers = np.vstack([np.zeros((1, 3)), 0.25 * np.array(vertices), far])
         else:
             centers = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
-        assert case != "n < NN_K" or len(centers) < NN_K
         centers = rng.permutation(centers)
         scene = spheres_scene(centers, [0.01] * len(centers))
-        assert scene.nn_centers.tobytes() == nn_reference(centers).tobytes()
+        assert all_nearest(scene).tobytes() == nn_reference(centers).tobytes()
 
     def test_arrays_are_shared_and_read_only(self):
         scene = Scene(
@@ -201,7 +204,7 @@ class TestSceneArrays:
         )
         centers, radii = scene_arrays(scene)
         assert centers is scene.centers and radii is scene.radii
-        assert scene.nn_centers is None
+        assert scene.nearest_other_centers([0]) is None
         with pytest.raises(ValueError):
             centers[0, 0] = 1.0
 
@@ -283,22 +286,28 @@ def neighbour_cases(draw):
     return spheres_scene(centers, radii), rows, travel, reach, rng
 
 
+def assert_lists_every_needed(scene, rows, travel, reach, rng) -> None:
+    """``scene.neighbour_list(rows, travel, reach)`` is ascending and holds,
+    for points up to ``travel`` from every row (the rows included), every
+    obstacle attaining a point's least surface distance and every obstacle
+    whose surface lies within ``reach`` of a point: a brute-force scan."""
+    near = scene.neighbour_list(rows, travel, reach)
+    assert np.all(np.diff(near) > 0)
+    listed = np.zeros(scene.radii.shape[0], dtype=bool)
+    listed[near] = True
+    step = rng.standard_normal((rows.shape[0], 30, 3))
+    step *= travel * rng.random((rows.shape[0], 30, 1)) / norms(step)[..., None]
+    points = np.concatenate([rows, (rows[:, None, :] + step).reshape(-1, 3)])
+    surf = norms(points[:, None, :] - scene.centers) - scene.radii
+    assert np.all(listed[(surf == surf.min(axis=1, keepdims=True)).any(axis=0)])
+    assert np.all(listed[(surf <= reach).any(axis=0)])
+
+
 class TestNeighbourList:
     @given(neighbour_cases())
     @settings(max_examples=150)
     def test_list_holds_every_minimizer_and_shell_pair(self, case):
-        scene, rows, travel, reach, rng = case
-        near = scene.neighbour_list(rows, travel, reach)
-        assert np.all(np.diff(near) > 0)
-        listed = np.zeros(scene.radii.shape[0], dtype=bool)
-        listed[near] = True
-        # points up to ``travel`` from every row, the rows themselves included
-        step = rng.standard_normal((rows.shape[0], 30, 3))
-        step *= travel * rng.random((rows.shape[0], 30, 1)) / norms(step)[..., None]
-        points = np.concatenate([rows, (rows[:, None, :] + step).reshape(-1, 3)])
-        surf = norms(points[:, None, :] - scene.centers) - scene.radii
-        assert np.all(listed[(surf == surf.min(axis=1, keepdims=True)).any(axis=0)])
-        assert np.all(listed[(surf <= reach).any(axis=0)])
+        assert_lists_every_needed(*case)
 
     def test_larger_sphere_behind_the_nearest_center(self):
         # the nearest center (1.0 m) belongs to a small sphere; the large one
@@ -306,9 +315,21 @@ class TestNeighbourList:
         scene = spheres_scene([(1.0, 0, 0), (0, 1.3, 0), (0, 0, 3.0)], [0.05, 0.5, 0.5])
         assert scene.neighbour_list(np.zeros((1, 3)), 0.0).tolist() == [0, 1]
 
+    def test_minimizer_one_ulp_beyond_the_rounded_bound(self):
+        # both spheres attain the least surface distance (0.654...), but
+        # the second center lies one ulp beyond d_nn + (r_max - r_min) as
+        # rounded: without the slack the list drops it
+        a, b = 0.7241326847726234, 0.8241326847726235
+        scene = spheres_scene([(a, 0, 0), (-b, 0, 0), (0, 0, 5.0)], [0.07, 0.17, 0.1])
+        assert b == np.nextafter(a + (0.17 - 0.07), 1.0)
+        surf = norms(-scene.centers) - scene.radii
+        assert surf[0] == surf[1] < surf[2]
+        assert scene.neighbour_list(np.zeros((1, 3)), 0.0).tolist() == [0, 1]
+
     def test_row_equidistant_from_lattice_centers(self):
-        # the tree's nearest distance and its ball query round differently:
-        # without the slack this list comes back empty
+        # a row at the same distance from several lattice centers: the
+        # surface distances the planner takes round unlike the list's center
+        # distances, and the list must still hold every tied minimizer
         cells = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1)
         centers = 0.07 * cells.reshape(-1, 3) + 0.7
         scene = spheres_scene(centers, [0.05] * len(centers))
@@ -467,9 +488,9 @@ class TestSubsample:
         batches = []
         ball_pairs = scene_mod._ball_pairs
 
-        def spy(tree, points, radius):
+        def spy(grid, points, radius):
             batches.append(len(points))
-            return ball_pairs(tree, points, radius)
+            return ball_pairs(grid, points, radius)
 
         monkeypatch.setattr(scene_mod, "_ball_pairs", spy)
         subsample(PointCloud(BATCH_CLOUDS["gaussian"][0]), 2500)
@@ -513,6 +534,85 @@ class TestSubsample:
     def test_accepts_numpy_integer(self):
         cloud = PointCloud(np.arange(30.0).reshape(10, 3))
         assert np.array_equal(subsample(cloud, np.int64(4)).points, subsample(cloud, 4).points)
+
+
+def _stress_clouds() -> dict[str, np.ndarray]:
+    """Clouds at the edges of the cell grid's arithmetic, each large enough
+    for batched picks."""
+    rng = np.random.default_rng(23)
+    tight = rng.normal(0.0, 1e-3, size=(2, 1000, 3))
+    return {
+        # coordinates near 1e6 m, where a metre holds 2^32 steps of rounding
+        "offset 1e6": rng.standard_normal((3000, 3)) * 0.2 + 1e6,
+        # 1e4 m wide: the cell edge follows the extent, so keys stay small
+        "two clusters 1e4 apart": np.vstack([tight[0], tight[1] + (1e4, -5e3, 2e3)]),
+        "coincident": np.full((2000, 3), 0.3),
+        # 400 points 8 times over, far out: tau reaches 0 after 400 picks
+        "copies near 1e6": rng.permutation(np.repeat(rng.uniform(-1.0, 1.0, (400, 3)), 8, axis=0)) + 1e6,
+    }
+
+
+STRESS_CLOUDS = _stress_clouds()
+
+
+class TestCellGrid:
+    @pytest.mark.parametrize("name", sorted(STRESS_CLOUDS))
+    def test_subsample_matches_reference(self, name):
+        cloud = PointCloud(STRESS_CLOUDS[name])
+        for k in (300, 700):
+            assert np.array_equal(subsample(cloud, k).points, fps_reference(cloud, k).points)
+
+    def test_subsample_with_every_point_in_one_cell(self, monkeypatch):
+        dims = []
+        ball_pairs = scene_mod._ball_pairs
+
+        def spy(grid, points, radius):
+            dims.append(grid.dims)
+            return ball_pairs(grid, points, radius)
+
+        monkeypatch.setattr(scene_mod, "_ball_pairs", spy)
+        monkeypatch.setattr(scene_mod, "CELL_SHARE", 1e9)
+        cloud = PointCloud(np.random.default_rng(24).standard_normal((3000, 3)))
+        assert np.array_equal(subsample(cloud, 600).points, fps_reference(cloud, 600).points)
+        assert dims and all(d == [1, 1, 1] for d in dims)
+
+    @pytest.mark.parametrize("share", [0.0, 1e-4, 0.02, 0.3, 5.0])
+    @pytest.mark.parametrize("name", [*sorted(STRESS_CLOUDS), "lattice12"])
+    def test_ball_pairs_list_every_point_of_each_ball_once(self, name, share):
+        pts = STRESS_CLOUDS[name] if name in STRESS_CLOUDS else BATCH_CLOUDS[name][0]
+        # widened as subsample widens tau, so that the radius is positive
+        radius = scene_mod._slack(share * float((pts.max(axis=0) - pts.min(axis=0)).max()))
+        grid = scene_mod._CellGrid(pts, radius)
+        picks = pts[::97]
+        owner, index = scene_mod._ball_pairs(grid, picks, radius)
+        listed = set(zip(owner.tolist(), index.tolist()))
+        assert len(listed) == owner.size
+        d = norms(picks[:, None, :] - pts[None, :, :])
+        assert set(zip(*(d <= radius).nonzero())) <= listed
+        # trimmed to the ball: a listed point's column lies within the
+        # radius of its row in xy, and its z cell overlaps the ball's span
+        # there, so it is at most a cell diagonal farther out
+        reach = radius + grid.pad + math.sqrt(3.0) * grid.edge
+        assert np.all(d[owner, index] <= reach * (1 + 1e-9))
+
+    @pytest.mark.parametrize("name", sorted(STRESS_CLOUDS))
+    def test_nearest_others_match_reference(self, name):
+        centers = STRESS_CLOUDS[name][::7]
+        scene = spheres_scene(centers, np.full(len(centers), 0.01))
+        assert all_nearest(scene).tobytes() == nn_reference(centers).tobytes()
+
+    @pytest.mark.parametrize("name", [*sorted(STRESS_CLOUDS), "desk"])
+    def test_neighbour_list_from_a_center_and_from_far_away(self, name):
+        if name == "desk":
+            scene = randomize_scene(default_desk_randomizer(), 5)
+        else:
+            centers = STRESS_CLOUDS[name][::7]
+            scene = spheres_scene(centers, np.full(len(centers), 0.01))
+        rng = np.random.default_rng(25)
+        far = scene.centers.max(axis=0) + 1e3
+        for rows in (scene.centers[[11]], scene.centers[[3, 11]], far[None], np.vstack([far, -far])):
+            for travel, reach in ((0.0, -math.inf), (0.05, 0.1), (2.0, 0.3)):
+                assert_lists_every_needed(scene, rows, travel, reach, rng)
 
 
 class TestVoxelLattice:
